@@ -15,8 +15,8 @@ race:
 
 # The deterministic schedule explorer: model tests for the lock-free
 # protocols (PBQ/ring FIFO refinement, SPTD no-lost-contribution, RMA
-# epochs, work-stealing exactly-once) over PCT seeds plus bounded
-# exhaustive runs.  Override the seed count with PURE_CHECK_SEEDS=n;
+# epochs, work-stealing exactly-once, SSW doorbell no-lost-wakeup and
+# poison unwind) over PCT seeds plus bounded exhaustive runs.  Override the seed count with PURE_CHECK_SEEDS=n;
 # replay one failing schedule with PURE_CHECK_SEED=n.
 check:
 	go test -tags purecheck -count=1 ./internal/check

@@ -147,8 +147,9 @@ func (r *Rank) endWait(prev *WaitRecord) {
 // publishing its record.  A wait satisfied while its peer is merely in
 // flight (a ping-pong leg, a collective phase) probes a few dozen times;
 // 1024 keeps every such wait off the registry while a genuinely blocked
-// rank still publishes within microseconds — far inside any usable
-// HangTimeout, which is the only consumer of the records.
+// rank still publishes within microseconds (milliseconds when it parks on
+// its bell between probe rounds) — far inside any usable HangTimeout, which
+// is the only consumer of the records.
 const lazyPublishProbes = 1024
 
 // lazyWait defers wait-record publication until the wait has proven slow.
@@ -165,10 +166,47 @@ type lazyWait struct {
 	prev      *WaitRecord
 	probes    int
 	published bool
-	// idle marks a wait completed by the transport's reader goroutine
-	// (inter-node frames over a real socket) rather than by a local rank's
-	// store: it selects the netpoller-friendly sleep-backoff SSW loop.
-	idle bool
+	// mode selects the SSW loop: spin for shared-memory completers, a
+	// bounded park on transport-bridged paths (see waitMode).
+	mode waitMode
+}
+
+// waitMode selects which SSW loop a blocking site runs, by who completes
+// its condition.
+type waitMode uint8
+
+const (
+	// waitSpin: another rank's store on this node (ssw.Waiter.Wait).  Every
+	// wait of a run without a real transport.
+	waitSpin waitMode = iota
+	// waitFrame: a frame arriving over the transport, whose delivery upcall
+	// rings the rank's bell (ssw.Waiter.WaitIdle).
+	waitFrame
+	// waitBounded: a local store on a transport-bridged path, which does
+	// not ring (ssw.Waiter.WaitBackoff) — a collective non-leader waiting
+	// on its leader, a mailbox, an RMA notify or PSCW flag, WaitFor.
+	waitBounded
+)
+
+// frameMode is the mode for a wait completed by an inter-node frame:
+// waitFrame under a real transport, where a reader goroutine delivers it,
+// and waitSpin on the modeled network, where the waiting rank drives
+// delivery itself.
+func (r *Rank) frameMode() waitMode {
+	if r.rt.tp != nil {
+		return waitFrame
+	}
+	return waitSpin
+}
+
+// boundedMode is the mode for a wait completed by a local store: waitBounded
+// when the path it sits on crosses a real transport (so the netpoller must
+// get a P), waitSpin otherwise.
+func (r *Rank) boundedMode(crossNode bool) waitMode {
+	if crossNode && r.rt.tp != nil {
+		return waitBounded
+	}
+	return waitSpin
 }
 
 // wait runs one SSW wait under the pending record.  A multi-phase caller (a
@@ -189,9 +227,9 @@ func (lw *lazyWait) wait(cond func() bool) {
 		}
 	}()
 	if lw.published || !lw.r.liveWaitRecords {
-		lw.r.sswWait(lw.idle, cond)
+		lw.r.sswWait(lw.mode, cond)
 	} else {
-		lw.r.sswWait(lw.idle, func() bool {
+		lw.r.sswWait(lw.mode, func() bool {
 			if cond() {
 				return true
 			}
@@ -232,36 +270,32 @@ func (lw *lazyWait) finish() {
 // inner wait's completion and the outer wait's is reported without a
 // record.  The watchdog path is unaffected — its records are published, not
 // pending.
-func (r *Rank) leafWait(cond func() bool) { r.leafWaitVia(false, cond) }
+func (r *Rank) leafWait(cond func() bool) { r.leafWaitVia(waitSpin, cond) }
 
-// leafWaitIdle is leafWait for conditions completed by the transport's
-// reader goroutine (an inter-node frame arriving over a real socket)
-// rather than by a rank spinning on this node: it backs off to short
-// sleeps so the netpoller gets scheduled.  See ssw.Waiter.WaitIdle.
-func (r *Rank) leafWaitIdle(cond func() bool) { r.leafWaitVia(true, cond) }
-
-// sswWait dispatches one condition to the SSW loop, choosing the spin
-// (local completion) or sleep-backoff (socket completion) discipline.  A
-// branch rather than a method value on purpose: binding r.wait.Wait to a
+// sswWait dispatches one condition to the SSW loop the mode selects.  A
+// switch rather than a method value on purpose: binding r.wait.Wait to a
 // variable allocates, and this dispatcher sits on the zero-allocation
 // eager paths.
-func (r *Rank) sswWait(idle bool, cond func() bool) {
-	if idle {
+func (r *Rank) sswWait(mode waitMode, cond func() bool) {
+	switch mode {
+	case waitFrame:
 		r.wait.WaitIdle(cond)
-	} else {
+	case waitBounded:
+		r.wait.WaitBackoff(cond)
+	default:
 		r.wait.Wait(cond)
 	}
 }
 
-func (r *Rank) leafWaitVia(idle bool, cond func() bool) {
+func (r *Rank) leafWaitVia(mode waitMode, cond func() bool) {
 	r.pendActive = true
 	r.pendPublished = false
 	if !r.liveWaitRecords {
-		r.sswWait(idle, cond)
+		r.sswWait(mode, cond)
 	} else {
 		probes := 0
 		var prev *WaitRecord
-		r.sswWait(idle, func() bool {
+		r.sswWait(mode, func() bool {
 			if cond() {
 				return true
 			}
@@ -357,6 +391,11 @@ func (rt *Runtime) poison(cause, text, diag string, cycle []int) {
 	rt.abort.diag = diag
 	rt.abort.cycle = cycle
 	rt.abort.flag.Store(true)
+	// Ranks parked on their bells only see the flag at their next yield
+	// boundary; wake them all so the unwind is prompt.
+	for _, b := range rt.bells {
+		b.Ring()
+	}
 	if rt.met != nil {
 		rt.met.aborts.Inc()
 		if cause == CauseDeadlock || cause == CauseStall {

@@ -193,14 +193,13 @@ func (ep *Channel) TryRecv(buf []byte) (int, bool) {
 		if rc.n.Load() == 0 {
 			return 0, false
 		}
-		msg, ok := rc.tryPop()
+		n, ok := rc.popInto(buf)
 		if !ok {
 			return 0, false
 		}
-		if len(msg) > len(buf) {
-			panic(fmt.Sprintf("core: %d-byte message overflows %d-byte receive buffer", len(msg), len(buf)))
+		if n > len(buf) {
+			panic(fmt.Sprintf("core: %d-byte message overflows %d-byte receive buffer", n, len(buf)))
 		}
-		n := copy(buf, msg)
 		r.stats.RecvsRemote++
 		r.stats.BytesReceived += int64(n)
 		if ep.trace != nil {
@@ -292,5 +291,7 @@ func (r *Rank) WaitFor(cond func() bool) {
 	r.pendRec = WaitRecord{Kind: WaitApp, Peer: -1}
 	// With a real transport the condition may be completed by the link
 	// reader goroutine; that wait must let the netpoller run (see waitReq).
-	r.leafWaitVia(r.rt.tp != nil, cond)
+	// The application condition has no ringer of its own, so the park is
+	// bounded.
+	r.leafWaitVia(r.boundedMode(true), cond)
 }

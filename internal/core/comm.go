@@ -255,11 +255,11 @@ func (c *Comm) collWait(op string, ni, tid int) lazyWait {
 	},
 		// On a multi-node comm over the real transport the collective's
 		// critical path runs through the leaders' socket legs, so waiters
-		// back off to sleeps: a spinning non-leader would starve the very
-		// netpoller its leader is blocked on, and the extra wakeup
+		// take the bounded park: a spinning non-leader would starve the
+		// very netpoller its leader is blocked on, and the extra wakeup
 		// microseconds vanish under the wire latency.  Single-node comms
 		// keep the pure spin even when a transport is up.
-		idle: c.r.rt.tp != nil && c.multiNode()}
+		mode: c.r.boundedMode(c.multiNode())}
 }
 
 // Barrier blocks until every comm member has entered it.

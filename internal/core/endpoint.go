@@ -325,7 +325,7 @@ func (ep *Channel) Isend(buf []byte) *Request {
 	}
 	r := ep.r
 	if ep.ch == nil {
-		return r.isend(ep.comm, buf, ep.peer, ep.tag)
+		return ep.isendRemote(buf)
 	}
 	r.stats.BytesSent += int64(len(buf))
 	req := ep.getReq()
@@ -364,7 +364,7 @@ func (ep *Channel) Irecv(buf []byte) *Request {
 	}
 	r := ep.r
 	if ep.ch == nil {
-		return r.irecv(ep.comm, buf, ep.peer, ep.tag)
+		return ep.irecvRemote(buf)
 	}
 	req := ep.getReq()
 	req.ch, req.buf = ep.ch, buf
@@ -395,10 +395,9 @@ func (ep *Channel) getReq() *Request {
 }
 
 // releaseReq returns a completed pooled request to its owning endpoint.
-// Requests created by the legacy rank-level isend/irecv (owner == nil) and
-// RMA link requests are never pooled.  The pooledFree guard makes a
-// redundant Wait on an already-completed request harmless (it was already
-// harmless before pooling) instead of corrupting the free list.
+// RMA link requests (owner == nil) are never pooled.  The pooledFree guard
+// makes a redundant Wait on an already-completed request harmless (it was
+// already harmless before pooling) instead of corrupting the free list.
 func releaseReq(req *Request) {
 	ep := req.owner
 	if ep == nil || req.pooledFree {

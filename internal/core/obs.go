@@ -50,6 +50,10 @@ type metricSet struct {
 	netRetransmits    *obs.Counter
 	netRetryExhausted *obs.Counter
 	netDupsDropped    *obs.Counter
+	// Parks of a sender refused by a full transport resend window that the
+	// safety-net timeout, not the reopening ack's ring, ended: nonzero only
+	// when acks are slower than the timeout or a ring went missing.
+	tpBusyParkTimeouts *obs.Counter
 
 	// One-sided (RMA) operations: posts and bytes by kind, fence epochs,
 	// notifications, frames shipped between nodes, and payload copies into
@@ -97,6 +101,8 @@ func newMetricSet(reg *obs.Metrics) *metricSet {
 		netRetransmits:    reg.Counter("pure_net_retransmits_total"),
 		netRetryExhausted: reg.Counter("pure_net_retry_exhausted_total"),
 		netDupsDropped:    reg.Counter("pure_net_dups_discarded_total"),
+
+		tpBusyParkTimeouts: reg.Counter("pure_tp_send_busy_park_timeouts_total"),
 
 		rmaPuts:          reg.Counter("pure_rma_puts_total"),
 		rmaGets:          reg.Counter("pure_rma_gets_total"),

@@ -82,7 +82,11 @@ type netMsg struct {
 type remoteChannel struct {
 	n    atomic.Int64 // buffered message count (lock-free emptiness probe)
 	mu   chanMutex
-	msgs []netMsg
+	msgs []netMsg // queued from head on; the backing array is kept when it drains
+	head int
+	// spare holds payload buffers receives have copied out of, for the
+	// next delivery to reuse (guarded by mu).
+	spare [][]byte
 
 	// Reliable-path state (untouched on the fault-free path).
 	sendSeq uint64            // last sequence assigned; owned by the sending rank
@@ -247,104 +251,58 @@ func DecodeInterNodeTag(enc, bits int) (tag, srcLocal, dstLocal int) {
 	return
 }
 
-// ---- Point-to-point operations (rank-level; Comm wraps these with rank
-// translation) ----
-
-// isend starts a send of buf to global rank dst.  Eager sends complete as
-// soon as the payload is buffered (MPI buffered-send semantics: the caller
-// may reuse buf immediately after the request completes).  Rendezvous sends
-// complete once the payload has been copied into the receiver's buffer.
-func (r *Rank) isend(commID uint64, buf []byte, dst, tag int) *Request {
-	if dst == r.id {
-		panic("core: self-send is not supported; ranks are threads, use local state")
-	}
-	key := chanKey{src: r.id, dst: dst, tag: tag, comm: commID}
+// isendRemote starts a send of buf to the endpoint's peer on another node,
+// on a request from the endpoint's pool.  Sends over the real transport and
+// the fault-free modeled wire complete at post (MPI buffered semantics);
+// the fault-injected modeled wire completes on the receiving NIC's ack.
+func (ep *Channel) isendRemote(buf []byte) *Request {
+	r := ep.r
 	r.stats.BytesSent += int64(len(buf))
-	if !r.rt.place.SameNode(r.id, dst) {
-		r.stats.SendsRemote++
-		if r.trace != nil {
-			r.trace.Emit(obs.KSendRemote, int32(dst), int64(len(buf)))
-		}
-		if r.met != nil {
-			r.met.countSend(reqRemoteSend, len(buf))
-		}
-		req := &Request{kind: reqRemoteSend, peer: int32(dst), tag: tag, comm: commID, buf: buf}
-		if r.rt.tp != nil {
-			// Real transport: the link copies the payload into its encoded
-			// resend buffer at send time, so the post completes immediately
-			// (MPI buffered semantics); loss, reordering and reconnects are
-			// the link protocol's problem.
-			r.tpSendData(key, buf)
-			req.done = true
-			req.n = len(buf)
-			return req
-		}
-		if !r.rt.net.FaultsActive() {
-			// Fault-free fast path: the modeled wire never loses anything,
-			// so the send completes at post time (MPI buffered semantics).
-			r.remoteSend(key, buf)
-			req.done = true
-			return req
-		}
-		// Reliable path: stamp a link sequence, transmit attempt 1, and let
-		// Wait/Test drive retransmits until the receiving NIC acks.
-		rc := r.getRemote(key)
-		rc.sendSeq++ // channels are SPSC: this rank is the only sender
-		req.rem = rc
-		req.seq = rc.sendSeq
-		req.dstNode = r.rt.place.NodeOf(dst)
-		r.transmitRemote(req)
-		return req
-	}
-	ch := r.getChannel(key)
-	var req *Request
-	if len(buf) < r.rt.cfg.SmallMsgMax {
-		r.stats.SendsEager++
-		if r.trace != nil {
-			r.trace.Emit(obs.KSendEager, int32(dst), int64(len(buf)))
-		}
-		req = &Request{kind: reqSendEager, ch: ch, peer: int32(dst), tag: tag, comm: commID, buf: buf}
-	} else {
-		r.stats.SendsRendezvous++
-		if r.trace != nil {
-			r.trace.Emit(obs.KSendRendezvous, int32(dst), int64(len(buf)))
-		}
-		req = &Request{kind: reqSendRvz, ch: ch, peer: int32(dst), tag: tag, comm: commID, buf: buf}
+	r.stats.SendsRemote++
+	if r.trace != nil {
+		r.trace.Emit(obs.KSendRemote, ep.peer32, int64(len(buf)))
 	}
 	if r.met != nil {
-		r.met.countSend(req.kind, len(buf))
+		r.met.countSend(reqRemoteSend, len(buf))
 	}
-	ch.sendPend.push(req)
-	r.progressSend(ch) // opportunistic completion
+	req := ep.getReq()
+	req.kind, req.buf = reqRemoteSend, buf
+	req.peer, req.tag, req.comm = ep.peer32, ep.tag, ep.comm
+	key := chanKey{src: r.id, dst: ep.peer, tag: ep.tag, comm: ep.comm}
+	if r.rt.tp != nil {
+		// Real transport: the link copies the payload into its encoded
+		// resend buffer at send time, so the post completes immediately;
+		// loss, reordering and reconnects are the link protocol's problem.
+		r.tpSendData(key, buf)
+		req.done = true
+		req.n = len(buf)
+		return req
+	}
+	if !r.rt.net.FaultsActive() {
+		// Fault-free fast path: the modeled wire never loses anything.
+		r.remoteSend(key, buf)
+		req.done = true
+		return req
+	}
+	// Reliable path: stamp a link sequence, transmit attempt 1, and let
+	// Wait/Test drive retransmits until the receiving NIC acks.
+	rc := r.getRemote(key)
+	rc.sendSeq++ // channels are SPSC: this rank is the only sender
+	req.rem = rc
+	req.seq = rc.sendSeq
+	req.dstNode = r.rt.place.NodeOf(ep.peer)
+	r.transmitRemote(req)
 	return req
 }
 
-// irecv starts a receive into buf from global rank src.  The received
-// message must be exactly len(buf) bytes for the rendezvous path and at
-// most len(buf) for the eager path; Pure's channels are persistent and
-// size-keyed, so both endpoints of a message must sit on the same side of
-// the SmallMsgMax threshold (see package pure documentation).
-func (r *Rank) irecv(commID uint64, buf []byte, src, tag int) *Request {
-	if src == r.id {
-		panic("core: self-receive is not supported")
-	}
-	key := chanKey{src: src, dst: r.id, tag: tag, comm: commID}
-	if !r.rt.place.SameNode(r.id, src) {
-		r.stats.RecvsRemote++
-		req := &Request{kind: reqRemoteRecv, rem: r.getRemote(key), peer: int32(src), tag: tag, comm: commID, buf: buf}
-		return req
-	}
-	ch := r.getChannel(key)
-	var req *Request
-	if len(buf) < r.rt.cfg.SmallMsgMax {
-		r.stats.RecvsEager++
-		req = &Request{kind: reqRecvEager, ch: ch, peer: int32(src), tag: tag, comm: commID, buf: buf}
-	} else {
-		r.stats.RecvsRendezvous++
-		req = &Request{kind: reqRecvRvz, ch: ch, peer: int32(src), tag: tag, comm: commID, buf: buf}
-	}
-	ch.recvPend.push(req)
-	r.progressRecv(ch)
+// irecvRemote starts a receive into buf from the endpoint's peer on another
+// node, on a request from the endpoint's pool; progressRemoteRecv completes
+// it from the mailbox.
+func (ep *Channel) irecvRemote(buf []byte) *Request {
+	ep.r.stats.RecvsRemote++
+	req := ep.getReq()
+	req.kind, req.rem, req.buf = reqRemoteRecv, ep.bindRemote(), buf
+	req.peer, req.tag, req.comm = ep.peer32, ep.tag, ep.comm
 	return req
 }
 
@@ -385,14 +343,14 @@ func (r *Rank) waitReq(req *Request) int {
 		Tag: req.tag, Comm: req.comm, Seq: req.seq,
 	}
 	// Remote completions on the real transport arrive via the link reader
-	// goroutine, so those waits must let the netpoller run; on the modeled
-	// network the waiting rank drives delivery itself and keeps spinning.
-	idle := r.rt.tp != nil
+	// goroutine, which rings this rank's bell; on the modeled network the
+	// waiting rank drives delivery itself and keeps spinning.
+	mode := r.frameMode()
 	switch req.kind {
 	case reqRemoteSend:
 		// Reliable path only (fault-free remote sends complete at post time):
 		// poll the receiver NIC's ack watermark, retransmitting on timeout.
-		r.leafWaitVia(idle, func() bool {
+		r.leafWaitVia(mode, func() bool {
 			if req.done {
 				return true
 			}
@@ -400,7 +358,7 @@ func (r *Rank) waitReq(req *Request) int {
 			return req.done
 		})
 	case reqRemoteRecv:
-		r.leafWaitVia(idle, func() bool {
+		r.leafWaitVia(mode, func() bool {
 			if req.done {
 				return true
 			}
@@ -412,7 +370,7 @@ func (r *Rank) waitReq(req *Request) int {
 		// retransmits and apply incoming frames (two origins putting at
 		// each other must each drain their inbox), then poll the target's
 		// applied watermark.
-		r.leafWaitVia(idle, func() bool {
+		r.leafWaitVia(mode, func() bool {
 			if req.flow.applied.Load() >= req.flowSeq {
 				req.done = true
 				return true
@@ -425,7 +383,7 @@ func (r *Rank) waitReq(req *Request) int {
 		})
 	case reqRmaGet:
 		// The reply frame arrives on our own inbox; rmaProgress fills buf.
-		r.leafWaitVia(idle, func() bool {
+		r.leafWaitVia(mode, func() bool {
 			if req.done {
 				return true
 			}
@@ -549,27 +507,33 @@ func (r *Rank) progressRecv(ch *channel) {
 	}
 }
 
-// remoteSend delivers buf to a rank on another node: pay the modeled wire
-// time, then append to the destination mailbox under the destination node's
-// NIC lock.  Fault-free fast path only; the reliable path goes through
-// transmitRemote.
+// remoteSend delivers a copy of buf to a rank on another node: pay the
+// modeled wire time, then append to the destination mailbox under the
+// destination node's NIC lock.  Fault-free fast path only; the reliable
+// path goes through transmitRemote.
 func (r *Rank) remoteSend(key chanKey, buf []byte) {
-	cp := make([]byte, len(buf))
-	copy(cp, buf)
-	r.remoteSendOwned(key, cp)
+	r.remoteSendVia(key, buf, true)
 }
 
 // remoteSendOwned is remoteSend for a payload the caller hands over (a
 // freshly encoded RMA frame): no defensive copy.
 func (r *Rank) remoteSendOwned(key chanKey, buf []byte) {
+	r.remoteSendVia(key, buf, false)
+}
+
+// remoteSendVia is the shared body; copyIn makes the mailbox's copy (into a
+// recycled buffer when one fits).
+func (r *Rank) remoteSendVia(key chanKey, buf []byte, copyIn bool) {
 	rc := r.getRemote(key)
 	r.rt.net.Transfer(len(buf))
 	dstNode := r.rt.place.NodeOf(key.dst)
 	nic := &r.rt.nodes[dstNode].nic
 	nic.Lock()
 	rc.mu.lock()
-	rc.msgs = append(rc.msgs, netMsg{payload: buf})
-	rc.n.Add(1)
+	if copyIn {
+		buf = append(rc.spareLocked(len(buf)), buf...)
+	}
+	rc.pushLocked(netMsg{payload: buf})
 	rc.mu.unlock()
 	nic.Unlock()
 }
@@ -640,8 +604,7 @@ func (rc *remoteChannel) accept(m netMsg) {
 		}
 		rc.pending[m.seq] = m.payload
 	default:
-		rc.msgs = append(rc.msgs, m)
-		rc.n.Add(1)
+		rc.pushLocked(m)
 		for {
 			want++
 			p, ok := rc.pending[want]
@@ -649,8 +612,7 @@ func (rc *remoteChannel) accept(m netMsg) {
 				break
 			}
 			delete(rc.pending, want)
-			rc.msgs = append(rc.msgs, netMsg{seq: want, payload: p})
-			rc.n.Add(1)
+			rc.pushLocked(netMsg{seq: want, payload: p})
 		}
 		rc.arrived.Store(want - 1)
 	}
@@ -683,22 +645,86 @@ func (r *Rank) progressRemoteSend(req *Request) {
 	r.transmitRemote(req)
 }
 
+// Payload recycling bounds: a mailbox keeps at most spareBufs copied-out
+// payload buffers, none larger than spareMax (bulk payloads go back to the
+// GC).
+const (
+	spareBufs = 4
+	spareMax  = 64 << 10
+)
+
+// pushLocked appends one message.  Caller holds mu.
+func (rc *remoteChannel) pushLocked(m netMsg) {
+	rc.msgs = append(rc.msgs, m)
+	rc.n.Add(1)
+}
+
+// popLocked dequeues the head message.  The backing array is rewound when
+// the queue drains and compacted once the consumed prefix dominates, so a
+// steady stream neither allocates nor grows.  Caller holds mu and has
+// checked the queue is non-empty.
+func (rc *remoteChannel) popLocked() []byte {
+	msg := rc.msgs[rc.head].payload
+	rc.msgs[rc.head] = netMsg{}
+	rc.head++
+	if rc.head == len(rc.msgs) {
+		rc.msgs, rc.head = rc.msgs[:0], 0
+	} else if rc.head >= 64 && 2*rc.head >= len(rc.msgs) {
+		n := copy(rc.msgs, rc.msgs[rc.head:])
+		clear(rc.msgs[n:])
+		rc.msgs, rc.head = rc.msgs[:n], 0
+	}
+	rc.n.Add(-1)
+	return msg
+}
+
+// spareLocked returns an empty payload buffer of capacity at least n,
+// recycled when one fits.  Caller holds mu.
+func (rc *remoteChannel) spareLocked(n int) []byte {
+	if k := len(rc.spare); k > 0 && cap(rc.spare[k-1]) >= n {
+		b := rc.spare[k-1]
+		rc.spare[k-1] = nil
+		rc.spare = rc.spare[:k-1]
+		return b[:0]
+	}
+	return make([]byte, 0, n)
+}
+
 // tryPop dequeues the channel's head message, or reports none buffered.
+// The caller owns the returned payload.
 func (rc *remoteChannel) tryPop() ([]byte, bool) {
 	rc.mu.lock()
-	if len(rc.msgs) == 0 {
+	if rc.head == len(rc.msgs) {
 		rc.mu.unlock()
 		return nil, false
 	}
-	msg := rc.msgs[0].payload
-	rc.msgs[0] = netMsg{}
-	rc.msgs = rc.msgs[1:]
-	if len(rc.msgs) == 0 {
-		rc.msgs = nil
-	}
-	rc.n.Add(-1)
+	msg := rc.popLocked()
 	rc.mu.unlock()
 	return msg, true
+}
+
+// popInto copies the head message into dst, dequeues it and keeps its
+// buffer for the next delivery.  It reports the message size and whether a
+// message was buffered; a message larger than dst (size > len(dst)) stays
+// queued for the caller to report.
+func (rc *remoteChannel) popInto(dst []byte) (size int, ok bool) {
+	rc.mu.lock()
+	if rc.head == len(rc.msgs) {
+		rc.mu.unlock()
+		return 0, false
+	}
+	msg := rc.msgs[rc.head].payload
+	if len(msg) > len(dst) {
+		rc.mu.unlock()
+		return len(msg), true
+	}
+	copy(dst, msg)
+	rc.popLocked()
+	if cap(msg) <= spareMax && len(rc.spare) < spareBufs {
+		rc.spare = append(rc.spare, msg)
+	}
+	rc.mu.unlock()
+	return len(msg), true
 }
 
 // progressRemoteRecv completes a remote receive if a message has arrived.
@@ -707,14 +733,14 @@ func (r *Rank) progressRemoteRecv(req *Request) {
 	if rc.n.Load() == 0 {
 		return
 	}
-	msg, ok := rc.tryPop()
+	n, ok := rc.popInto(req.buf)
 	if !ok {
 		return
 	}
-	if len(msg) > len(req.buf) {
-		panic(fmt.Sprintf("core: %d-byte message overflows %d-byte receive buffer", len(msg), len(req.buf)))
+	if n > len(req.buf) {
+		panic(fmt.Sprintf("core: %d-byte message overflows %d-byte receive buffer", n, len(req.buf)))
 	}
-	req.n = copy(req.buf, msg)
+	req.n = n
 	r.stats.BytesReceived += int64(req.n)
 	if r.trace != nil {
 		r.trace.Emit(obs.KRecvRemote, req.peer, int64(req.n))

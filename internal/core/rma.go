@@ -557,14 +557,10 @@ func (win *Win) Start(targets []int) {
 		}
 		g := win.c.sh.members[t]
 		r.pendRec = WaitRecord{Kind: WaitRmaPSCW, Peer: g, Tag: rmaTag, Comm: win.key.Comm, Seq: win.startRound, Op: "start"}
-		idle := false
-		if r.rt.tp != nil {
-			if _, same := win.local(t); !same {
-				idle = true // the Post flag arrives as a frame
-			}
-		}
+		_, same := win.local(t)
 		t := t
-		r.leafWaitVia(idle, func() bool {
+		// The Post flag arrives as a frame, but rmaProgress applies it.
+		r.leafWaitVia(r.boundedMode(!same), func() bool {
 			if win.w.Posted(t, win.startRound) {
 				return true
 			}
@@ -618,14 +614,10 @@ func (win *Win) Wait() {
 		}
 		g := win.c.sh.members[o]
 		r.pendRec = WaitRecord{Kind: WaitRmaPSCW, Peer: g, Tag: rmaTag, Comm: win.key.Comm, Seq: win.waitRound, Op: "wait"}
-		idle := false
-		if r.rt.tp != nil {
-			if _, same := win.local(o); !same {
-				idle = true // the Complete flag arrives as a frame
-			}
-		}
+		_, same := win.local(o)
 		o := o
-		r.leafWaitVia(idle, func() bool {
+		// The Complete flag arrives as a frame, but rmaProgress applies it.
+		r.leafWaitVia(r.boundedMode(!same), func() bool {
 			if win.w.Completed(o, win.c.myRank, win.waitRound) {
 				return true
 			}
@@ -673,7 +665,7 @@ func (win *Win) NotifyWait(slot, count int) {
 	}
 	lw := lazyWait{r: r, rec: WaitRecord{
 		Kind: WaitRmaNotify, Peer: -1, Tag: rmaTag, Comm: win.key.Comm, Seq: need, Op: "notify-wait",
-	}, idle: r.rt.tp != nil && win.c.multiNode()}
+	}, mode: r.boundedMode(win.c.multiNode())}
 	lw.wait(func() bool {
 		if win.w.NotifyCount(me, slot) >= need {
 			return true

@@ -238,12 +238,19 @@ type Runtime struct {
 	remotes  sync.Map // chanKey -> *remoteChannel (inter-node)
 	comms    sync.Map // splitKey -> *commShared
 
+	// bells are the ranks' doorbells, indexed by global rank (nil without a
+	// transport): whoever completes a parked rank's socket wait rings its
+	// bell (see ssw.Waiter.WaitIdle).
+	bells []*ssw.Bell
+
 	// tp is the real inter-node transport when Config.Transport is set (nil
 	// for in-process runs); tpFinished marks that every local rank has
 	// returned, turning late peer-failure upcalls into no-ops (peer shutdown
 	// is not synchronized across nodes).
 	tp         *transport.Transport
 	tpFinished atomic.Bool
+	// tpPeers is the delivery-side cache per peer node (see tpPeer).
+	tpPeers []tpPeer
 
 	// One-sided communication: the window registry (keyed like the channel
 	// manager) and the remote RMA flows with their applied watermarks.
@@ -374,6 +381,16 @@ func runInternal(cfg Config, main func(r *Rank), harvest func([]*Rank)) error {
 		return fmt.Errorf("core: placing ranks: %w", err)
 	}
 	rt := &Runtime{cfg: rcfg, place: place, net: netsim.New(rcfg.Net)}
+	if rcfg.Transport != nil {
+		// Every rank's doorbell exists before anything can ring it: the
+		// task scheduler's open hook below and the transport's delivery
+		// upcalls, which may fire as soon as Start brings a link up.  Runs
+		// without a transport only spin, so they have no bells.
+		rt.bells = make([]*ssw.Bell, rcfg.NRanks)
+		for id := range rt.bells {
+			rt.bells[id] = ssw.NewBell()
+		}
+	}
 	if rcfg.Metrics == nil && rcfg.MonitorAddr != "" {
 		// A monitored run without an explicit registry still wants /metrics
 		// to carry the runtime counters (the cluster monitor scrapes them),
@@ -398,6 +415,12 @@ func runInternal(cfg Config, main func(r *Rank), harvest func([]*Rank)) error {
 				socketOf[i] = place.SocketOf(rank)
 			}
 		}
+		var onOpen func(slot int)
+		if rcfg.Transport != nil {
+			// Ranks parked on socket waits sleep on their bells; a task
+			// opening for stealing rings them so the SSW loop still steals.
+			onOpen = rt.ringNodeRanks(place.RanksOnNode(n))
+		}
 		rt.nodes[n] = &nodeState{
 			sched: sched.New(sched.Config{
 				Slots:       slots,
@@ -405,6 +428,7 @@ func runInternal(cfg Config, main func(r *Rank), harvest func([]*Rank)) error {
 				Policy:      rcfg.StealPolicy,
 				SocketOf:    socketOf,
 				OwnerSteals: rcfg.OwnerSteals,
+				OnOpen:      onOpen,
 			}),
 			nRanks: nRanks,
 		}
@@ -420,11 +444,16 @@ func runInternal(cfg Config, main func(r *Rank), harvest func([]*Rank)) error {
 			// dump carries what `puretrace merge` matches across nodes.
 			tcfg.LinkEvents = 1 << 14
 		}
+		rt.tpPeers = make([]tpPeer, len(tcfg.Addrs))
+		for i := range rt.tpPeers {
+			rt.tpPeers[i] = tpPeer{remotes: map[chanKey]*remoteChannel{}, flows: map[chanKey]*rmaFlow{}}
+		}
 		tp, err := transport.New(tcfg, nil, rcfg.NRanks, transport.Handlers{
 			Deliver:  rt.tpDeliver,
 			Applied:  rt.tpApplied,
 			PeerDead: rt.tpPeerDead,
 			PeerBye:  rt.tpPeerBye,
+			Writable: rt.tpWritable,
 		})
 		if err != nil {
 			return fmt.Errorf("core: building transport: %w", err)
@@ -597,6 +626,19 @@ func runInternal(cfg Config, main func(r *Rank), harvest func([]*Rank)) error {
 	return nil
 }
 
+// ringNodeRanks returns a task-open hook for one node's scheduler: it rings
+// every rank of the node except the task's owner (in slot).  Slots past the
+// node's ranks are helper threads, which never park.
+func (rt *Runtime) ringNodeRanks(ranks []int) func(slot int) {
+	return func(slot int) {
+		for i, id := range ranks {
+			if i != slot {
+				rt.bells[id].Ring()
+			}
+		}
+	}
+}
+
 // testNewRankHook, when non-nil, runs at the top of newRank.  Tests use it to
 // simulate a rank that dies during bootstrap, which leaves ranks[id] == nil —
 // the harvest paths must tolerate that.
@@ -627,6 +669,9 @@ func (rt *Runtime) newRank(id int) *Rank {
 	// boundary, so a rank parked in any wait still exposes its windows and
 	// unblocks remote origins.
 	r.wait = ssw.Waiter{Steal: r.thief, SpinBudget: rt.cfg.SpinBudget, Poison: rt.abortErr, Progress: r.rmaProgress}
+	if rt.bells != nil {
+		r.wait.Bell = rt.bells[id]
+	}
 	r.world = &Comm{r: r, sh: rt.world, myRank: id}
 	return r
 }

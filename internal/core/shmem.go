@@ -412,7 +412,7 @@ func (m *Mailbox) Send(msg []byte) {
 	r := m.s.win.c.r
 	g := m.s.win.c.sh.members[m.owner]
 	r.pendRec = WaitRecord{Kind: WaitShmem, Peer: g, Tag: rmaTag, Comm: m.s.win.key.Comm, Op: "mailbox-send"}
-	r.leafWaitVia(false, func() bool {
+	r.leafWaitVia(waitSpin, func() bool {
 		r.rmaProgress()
 		return m.TrySend(msg)
 	})
@@ -464,7 +464,7 @@ func (m *Mailbox) Recv(dst []byte) int {
 	}
 	lw := lazyWait{r: r, rec: WaitRecord{
 		Kind: WaitShmem, Peer: -1, Tag: rmaTag, Comm: m.s.win.key.Comm, Seq: uint64(m.head) + 1, Op: "mailbox-recv",
-	}, idle: r.rt.tp != nil && m.s.win.c.multiNode()}
+	}, mode: r.boundedMode(m.s.win.c.multiNode())}
 	lw.wait(func() bool {
 		if m.ready() {
 			return true
@@ -504,7 +504,7 @@ func (s *Shm) Select(mboxes ...*Mailbox) int {
 	}
 	lw := lazyWait{r: r, rec: WaitRecord{
 		Kind: WaitShmem, Peer: -1, Tag: rmaTag, Comm: s.win.key.Comm, Op: "mailbox-select",
-	}, idle: r.rt.tp != nil && s.win.c.multiNode()}
+	}, mode: r.boundedMode(s.win.c.multiNode())}
 	lw.wait(func() bool {
 		if scan() {
 			return true

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -470,5 +471,183 @@ func BenchmarkTCPAllreduce8B(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// ---- Doorbell wakeups ----
+//
+// A rank blocked on a socket wait parks on its bell instead of polling; the
+// tests below pin down every ringer the park depends on.
+
+// TestTCPParkedRecvUnwindsOnPeerAbort: a rank parked on a cross-node Recv
+// that will never complete unwinds promptly when the peer node aborts — the
+// abort Bye poisons this runtime, and the poison rings the parked rank —
+// well inside both the heartbeat detector and the hang watchdog.
+func TestTCPParkedRecvUnwindsOnPeerAbort(t *testing.T) {
+	start := time.Now()
+	errs := tcpWorld(t, 2, 1, nil, func(r *Rank) {
+		w := r.World()
+		buf := make([]byte, 8)
+		if r.ID() == 0 {
+			w.Send(buf, 1, 1)
+			w.Recv(buf, 1, 99) // never sent: only the abort ends it
+			return
+		}
+		w.Recv(buf, 0, 1)
+		time.Sleep(20 * time.Millisecond) // let rank 0 park
+		r.Abort(fmt.Errorf("test abort"))
+	})
+	elapsed := time.Since(start)
+	re, ok := errs[0].(*RunError)
+	if !ok || re.Cause != CauseNodeDead {
+		t.Fatalf("node 0: got %v, want a node-dead *RunError", errs[0])
+	}
+	if _, ok := errs[1].(*RunError); !ok {
+		t.Fatalf("node 1: got %v, want *RunError", errs[1])
+	}
+	if elapsed > 2*time.Second {
+		t.Fatalf("parked rank took %v to unwind after the peer abort", elapsed)
+	}
+}
+
+// TestTCPParkedRecvUnwindsOnDeadline: ranks parked on cross-node receives
+// unwind with a deadline *RunError promptly once Config.Deadline expires.
+func TestTCPParkedRecvUnwindsOnDeadline(t *testing.T) {
+	const deadline = 200 * time.Millisecond
+	start := time.Now()
+	errs := tcpWorld(t, 2, 1, func(_ int, cfg *Config) {
+		cfg.Deadline = deadline
+	}, func(r *Rank) {
+		buf := make([]byte, 8)
+		r.World().Recv(buf, 1-r.ID(), 99) // never sent by either side
+	})
+	elapsed := time.Since(start)
+	for n, err := range errs {
+		re, ok := err.(*RunError)
+		if !ok {
+			t.Fatalf("node %d: got %v, want *RunError", n, err)
+		}
+		if re.Cause != CauseDeadline && re.Cause != CauseNodeDead {
+			t.Fatalf("node %d: cause %q, want deadline (or the peer's deadline abort)", n, re.Cause)
+		}
+	}
+	if elapsed > deadline+2*time.Second {
+		t.Fatalf("parked ranks took %v to unwind (deadline %v)", elapsed, deadline)
+	}
+}
+
+// TestTCPParkedRecvSteals: a rank parked on a remote receive is rung when a
+// co-resident rank opens a Pure Task afterwards, and steals its chunks
+// while it waits (the SSW promise holds for socket waits too).
+func TestTCPParkedRecvSteals(t *testing.T) {
+	var stolen atomic.Int64
+	errs := tcpWorld(t, 2, 2, nil, func(r *Rank) {
+		w := r.World()
+		buf := make([]byte, 8)
+		switch r.ID() {
+		case 0:
+			// Parks until rank 2 echoes rank 1's post-task message.
+			w.Recv(buf, 2, 5)
+			_, s := r.StealStats()
+			stolen.Store(s)
+		case 1:
+			time.Sleep(20 * time.Millisecond) // let rank 0 park first
+			task := r.NewTask(64, func(start, end int64, _ any) {
+				time.Sleep(200 * time.Microsecond)
+			})
+			task.Execute(nil)
+			w.Send(buf, 2, 4)
+		case 2:
+			w.Recv(buf, 1, 4)
+			w.Send(buf, 0, 5)
+		}
+	})
+	tcpAllOK(t, errs)
+	if stolen.Load() == 0 {
+		t.Fatal("rank parked on a remote receive stole no chunks of the task opened after it parked")
+	}
+}
+
+// TestTCPSendWindowParksOnBell: with a one-frame resend window every send
+// after the first finds the window full.  The refused sender parks on its
+// bell and the ack that reopens the window rings it — the busy path has no
+// fixed sleep, so most parks end by a ring rather than the safety-net
+// timeout the park-timeout counter records.
+func TestTCPSendWindowParksOnBell(t *testing.T) {
+	const n = 200
+	mets := []*obs.Metrics{obs.NewMetrics(), obs.NewMetrics()}
+	errs := tcpWorld(t, 2, 1, func(node int, cfg *Config) {
+		cfg.Metrics = mets[node]
+		cfg.Transport.MaxUnacked = 1
+	}, func(r *Rank) {
+		w := r.World()
+		buf := make([]byte, 8)
+		if r.ID() == 0 {
+			for i := 0; i < n; i++ {
+				binary.LittleEndian.PutUint64(buf, uint64(i))
+				w.Send(buf, 1, 3)
+			}
+			w.Recv(buf, 1, 4) // rank 1 has everything
+			return
+		}
+		for i := 0; i < n; i++ {
+			w.Recv(buf, 0, 3)
+			if got := binary.LittleEndian.Uint64(buf); got != uint64(i) {
+				panic(fmt.Sprintf("message %d carried %d", i, got))
+			}
+		}
+		w.Send(buf, 0, 4)
+	})
+	tcpAllOK(t, errs)
+	busy := mets[0].Counter("pure_tp_send_busy_total").Value()
+	timeouts := mets[0].Counter("pure_tp_send_busy_park_timeouts_total").Value()
+	if busy == 0 {
+		t.Fatal("a one-frame window never refused a send (SendBusy 0)")
+	}
+	if 2*timeouts > busy {
+		t.Fatalf("%d of %d busy parks ran out the safety-net timeout instead of being rung by the reopening ack", timeouts, busy)
+	}
+	t.Logf("SendBusy %d, parks ended by the timeout %d", busy, timeouts)
+}
+
+// TestTCPPingPongSteadyStateAllocs is the cross-node allocation gate: a
+// warm 8-byte ping-pong over the real transport allocates nothing per round
+// trip — pooled requests, recycled payload and encode buffers, piggybacked
+// acks, a reused read frame.  The bound leaves room only for background
+// heartbeats.
+func TestTCPPingPongSteadyStateAllocs(t *testing.T) {
+	const warm, rounds = 512, 4096
+	var mallocs atomic.Uint64
+	errs := tcpWorld(t, 2, 1, nil, func(r *Rank) {
+		w := r.World()
+		buf := make([]byte, 8)
+		rt := func() {
+			if r.ID() == 0 {
+				w.Send(buf, 1, 5)
+				w.Recv(buf, 1, 5)
+			} else {
+				w.Recv(buf, 0, 5)
+				w.Send(buf, 0, 5)
+			}
+		}
+		for i := 0; i < warm; i++ {
+			rt()
+		}
+		var m0, m1 runtime.MemStats
+		if r.ID() == 0 {
+			runtime.ReadMemStats(&m0)
+		}
+		for i := 0; i < rounds; i++ {
+			rt()
+		}
+		if r.ID() == 0 {
+			runtime.ReadMemStats(&m1)
+			mallocs.Store(m1.Mallocs - m0.Mallocs)
+		}
+	})
+	tcpAllOK(t, errs)
+	if per := float64(mallocs.Load()) / rounds; per >= 0.05 {
+		t.Fatalf("%d mallocs over %d warm TCP round trips (%.3f per round trip), want < 0.05",
+			mallocs.Load(), rounds, per)
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"time"
 
 	"repro/internal/transport"
 )
@@ -23,22 +22,54 @@ import (
 // target instead ships a KindApplied frame carrying its cumulative applied
 // count after each inbox drain, and the origin's replica takes the
 // monotonic max.
+//
+// Every upcall that completes a rank's wait rings that rank's bell after
+// publishing, which is what lets socket waits park instead of polling (see
+// ssw.Waiter.WaitIdle).
+
+// tpPeer caches, for one peer node, the mailboxes and RMA flows its frames
+// have resolved, so a steady stream skips the shared sync.Maps (whose
+// LoadOrStore allocates a fresh candidate on every call).  Only that peer's
+// link touches it: the transport runs Deliver and Applied under the link's
+// receive lock, with SrcNode fixed to the link's peer.
+type tpPeer struct {
+	remotes map[chanKey]*remoteChannel
+	flows   map[chanKey]*rmaFlow
+}
+
+// tpRemote resolves the mailbox for key through the source node's cache.
+func (rt *Runtime) tpRemote(src int, key chanKey) *remoteChannel {
+	c := &rt.tpPeers[src]
+	if rc, ok := c.remotes[key]; ok {
+		return rc
+	}
+	v, _ := rt.remotes.LoadOrStore(key, &remoteChannel{})
+	rc := v.(*remoteChannel)
+	c.remotes[key] = rc
+	return rc
+}
+
+// ring wakes a local rank parked on its bell.  Frame fields are
+// wire-derived, so an out-of-range rank is ignored rather than trusted.
+func (rt *Runtime) ring(rank int32) {
+	if rank >= 0 && int(rank) < len(rt.bells) {
+		rt.bells[rank].Ring()
+	}
+}
 
 // tpDeliver is the transport's Deliver upcall: one KindData frame for a rank
 // on this node.  It runs on the owning link's reader goroutine in link
 // order; the frame's payload is only valid during the call, so the mailbox
-// gets a copy.  The destination rank's progress loops consume the mailbox
-// exactly as they do on the modeled network.
+// gets a copy (into a buffer an earlier receive recycled, in steady state).
+// The destination rank's progress loops consume the mailbox exactly as they
+// do on the modeled network; the ring wakes it if it is parked.
 func (rt *Runtime) tpDeliver(f *transport.Frame) {
 	key := chanKey{src: int(f.SrcRank), dst: int(f.DstRank), tag: int(f.Tag), comm: f.Comm}
-	v, _ := rt.remotes.LoadOrStore(key, &remoteChannel{})
-	rc := v.(*remoteChannel)
-	cp := make([]byte, len(f.Payload))
-	copy(cp, f.Payload)
+	rc := rt.tpRemote(int(f.SrcNode), key)
 	rc.mu.lock()
-	rc.msgs = append(rc.msgs, netMsg{payload: cp})
-	rc.n.Add(1)
+	rc.pushLocked(netMsg{payload: append(rc.spareLocked(len(f.Payload)), f.Payload...)})
 	rc.mu.unlock()
+	rt.ring(f.DstRank)
 }
 
 // tpApplied is the transport's Applied upcall: the peer's cumulative applied
@@ -53,14 +84,31 @@ func (rt *Runtime) tpApplied(f *transport.Frame) {
 	}
 	applied := binary.LittleEndian.Uint64(f.Payload)
 	key := chanKey{src: int(f.DstRank), dst: int(f.SrcRank), tag: rmaTag, comm: f.Comm}
-	rcv, _ := rt.remotes.LoadOrStore(key, &remoteChannel{})
-	v, _ := rt.rmaFlows.LoadOrStore(key, &rmaFlow{rc: rcv.(*remoteChannel)})
-	flow := v.(*rmaFlow)
+	c := &rt.tpPeers[f.SrcNode]
+	flow, ok := c.flows[key]
+	if !ok {
+		v, _ := rt.rmaFlows.LoadOrStore(key, &rmaFlow{rc: rt.tpRemote(int(f.SrcNode), key)})
+		flow = v.(*rmaFlow)
+		c.flows[key] = flow
+	}
 	for {
 		cur := flow.applied.Load()
-		if applied <= cur || flow.applied.CompareAndSwap(cur, applied) {
+		if applied <= cur {
 			return
 		}
+		if flow.applied.CompareAndSwap(cur, applied) {
+			rt.ring(f.DstRank)
+			return
+		}
+	}
+}
+
+// tpWritable is the transport's Writable upcall: the resend window toward
+// node reopened after refusing a send.  The link does not know which rank
+// was refused, so every rank of this node is rung; the rest re-probe once.
+func (rt *Runtime) tpWritable(node int) {
+	for _, id := range rt.place.RanksOnNode(rt.cfg.Transport.Node) {
+		rt.bells[id].Ring()
 	}
 }
 
@@ -141,13 +189,15 @@ func (r *Rank) tpSend(dstNode int, f *transport.Frame) {
 			r.checkPoison() // unwinds
 		default:
 			if err == transport.ErrBusy {
-				// Resend window full: the acks that drain it arrive on the
-				// netpoller, so sleep rather than yield-spin (see
-				// ssw.Waiter.WaitIdle); poison unwinds us if the peer never
-				// drains (the retry budget kills the link, the DeadError
-				// branch fires, or another rank poisons first).
+				// Resend window full: park on the bell until the ack that
+				// reopens it arrives on the netpoller and tpWritable rings.
+				// Poison unwinds us if the peer never drains (the retry
+				// budget kills the link, the DeadError branch fires, or
+				// another rank poisons first) and rings us to get here.
 				r.checkPoison()
-				time.Sleep(20 * time.Microsecond)
+				if !r.wait.Park() && r.met != nil {
+					r.met.tpBusyParkTimeouts.Inc()
+				}
 				continue
 			}
 			// ErrClosed and routing errors cannot happen from a live rank

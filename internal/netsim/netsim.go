@@ -133,7 +133,7 @@ type Network struct {
 // New builds a network with the given cost model.
 func New(cfg Config) *Network {
 	n := &Network{cfg: cfg}
-	n.rng.Store(splitmix64(uint64(cfg.Faults.Seed) + 0x1905) ^ 0xD1B54A32D192ED03)
+	n.rng.Store(splitmix64(uint64(cfg.Faults.Seed)+0x1905) ^ 0xD1B54A32D192ED03)
 	return n
 }
 

@@ -66,6 +66,10 @@ type Config struct {
 	// steal from other tasks while waiting for stragglers.  The paper's
 	// owner simply waits; this is an extension (off by default).
 	OwnerSteals bool
+	// OnOpen, if non-nil, runs right after a task in slot opens for
+	// stealing.  The runtime uses it to ring the node's parked ranks, so a
+	// rank sleeping on a socket wait still wakes to steal.
+	OnOpen func(slot int)
 }
 
 // exec is the state of one task execution.  A fresh exec is allocated per
@@ -173,6 +177,9 @@ func (s *Scheduler) Run(slot int, nchunks int64, body Body, extra any, wait func
 	e := &exec{body: body, nchunks: nchunks, extra: extra, mode: s.cfg.ChunkMode, nslots: int64(s.cfg.Slots)}
 	schedpoint("sched:run:open")
 	s.active[slot].Store(e) // publish: open for stealing
+	if s.cfg.OnOpen != nil {
+		s.cfg.OnOpen(slot)
+	}
 
 	var localDone int64 // the paper's owner-local completion count (avoids a
 	// fetch-add cache miss per owner chunk)

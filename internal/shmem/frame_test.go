@@ -46,13 +46,13 @@ func TestOpRoundTripAllKinds(t *testing.T) {
 func TestOpRoundTripEdges(t *testing.T) {
 	maxOff := MaxHeapBytes - CellBytes
 	for _, o := range []Op{
-		{Kind: OpPut, Off: 0, Data: nil},                      // zero-length put
-		{Kind: OpPut, Off: maxOff, Data: []byte{}},            // zero-length at max offset
-		{Kind: OpGet, Off: 0, Val: 0, Req: 1},                 // zero-length get
-		{Kind: OpGet, Off: maxOff, Val: CellBytes, Req: 2},    // last addressable cell
-		{Kind: OpAdd, Off: maxOff, Val: 1},                    // atomic at max offset
-		{Kind: OpCAS, Off: maxOff, Cmp: -1, Val: 1<<63 - 1},   // extreme operands
-		{Kind: OpStore, Off: maxOff, Val: -1 << 63},           // extreme operands
+		{Kind: OpPut, Off: 0, Data: nil},                        // zero-length put
+		{Kind: OpPut, Off: maxOff, Data: []byte{}},              // zero-length at max offset
+		{Kind: OpGet, Off: 0, Val: 0, Req: 1},                   // zero-length get
+		{Kind: OpGet, Off: maxOff, Val: CellBytes, Req: 2},      // last addressable cell
+		{Kind: OpAdd, Off: maxOff, Val: 1},                      // atomic at max offset
+		{Kind: OpCAS, Off: maxOff, Cmp: -1, Val: 1<<63 - 1},     // extreme operands
+		{Kind: OpStore, Off: maxOff, Val: -1 << 63},             // extreme operands
 		{Kind: OpFetchAdd, Off: maxOff, Val: 0, Req: 1<<64 - 1}, // max req id
 	} {
 		roundTrip(t, o)

@@ -13,6 +13,13 @@
 // (runtime.Gosched), keeping the lock-free fast paths byte-identical while
 // preserving liveness.  The budget is configurable; with enough real cores a
 // large budget recovers the paper's pure-spin behaviour.
+//
+// Waits whose completer is background I/O — a frame handed over by a
+// transport reader goroutine — cannot spin at all: yield-spinning goroutines
+// starve the Go netpoller.  Those waits park on the rank's Bell, a doorbell
+// the completer rings after publishing (WaitIdle).  Waits that sit on a
+// transport-bridged path but are completed by a local store park on the bell
+// with an exponential backoff as their timeout (WaitBackoff).
 package ssw
 
 import (
@@ -24,11 +31,12 @@ import (
 // yields when the caller does not specify one.
 const DefaultSpinBudget = 64
 
-// WaitIdle's backoff: after idleYieldRounds yield boundaries without
-// progress the wait starts sleeping, doubling from idleSleepMin up to
-// idleSleepMax.  The cap bounds the wakeup latency a long wait pays once
-// its condition finally completes; the first few 1–2µs sleeps cost almost
-// nothing on a wait that was about to be satisfied anyway.
+// Parking bounds.  A doorbell wait parks with idleSleepMax as a pure safety
+// net: every completer rings, so the timeout only matters if one ever does
+// not.  A backoff wait yields idleYieldRounds times, then parks with a
+// timeout doubling from idleSleepMin up to idleSleepMax; the cap bounds the
+// wakeup latency a long wait pays when its (unringing) completer finally
+// stores.
 const (
 	idleYieldRounds = 4
 	idleSleepMin    = time.Microsecond
@@ -50,6 +58,63 @@ type AbortPanic struct{ Err error }
 
 func (a AbortPanic) Error() string { return a.Err.Error() }
 
+// Bell is one rank's doorbell: a one-token mailbox that any goroutine may
+// ring and only the owning rank parks on.  A ring leaves a token that
+// persists until the next Park consumes it, so a ring that lands between the
+// waiter's last failed probe and its Park is never lost — the Park returns
+// at once.  Spurious tokens (a ring for a condition the waiter already saw
+// true) only cost one extra probe round.
+type Bell struct {
+	c chan struct{}
+	t *time.Timer // the parker's timeout, created on the first Park
+}
+
+// NewBell returns an unrung bell.
+func NewBell() *Bell { return &Bell{c: make(chan struct{}, 1)} }
+
+// Ring wakes the bell's parked owner, or leaves a token for its next Park.
+// It never blocks and is safe from any goroutine, including transport
+// callbacks that hold link locks.
+func (b *Bell) Ring() {
+	schedpoint("ssw:bell:ring")
+	select {
+	case b.c <- struct{}{}:
+	default:
+	}
+}
+
+// Park blocks the owner until the bell rings or d elapses, consuming the
+// token, and reports whether a ring (rather than the timeout) ended it.
+// Only the owning rank may park.
+func (b *Bell) Park(d time.Duration) bool {
+	schedpoint("ssw:bell:park")
+	if checkerPark(b) {
+		return true
+	}
+	select {
+	case <-b.c:
+		return true
+	default:
+	}
+	if b.t == nil {
+		b.t = time.NewTimer(d)
+	} else {
+		b.t.Reset(d)
+	}
+	select {
+	case <-b.c:
+		if !b.t.Stop() {
+			select { // drain a fire that raced the ring
+			case <-b.t.C:
+			default:
+			}
+		}
+		return true
+	case <-b.t.C:
+		return false
+	}
+}
+
 // Waiter is a reusable SSW-Loop bound to one rank's stealer.
 type Waiter struct {
 	// Steal, if non-nil, is probed between condition checks.
@@ -61,7 +126,8 @@ type Waiter struct {
 	// satisfied-on-first-probe fast path never pays for it).  A non-nil
 	// error makes Wait panic with AbortPanic{err}, unwinding the blocked
 	// rank: this is how a poisoned runtime reclaims ranks parked in any of
-	// the SSW-Loop's "dozens of places" instead of hanging forever.
+	// the SSW-Loop's "dozens of places" instead of hanging forever.  The
+	// poisoner must ring every Bell so parked waiters reach this check.
 	Poison func() error
 	// Progress, if non-nil, runs at every yield boundary after the poison
 	// check.  The runtime uses it to apply incoming one-sided (RMA)
@@ -70,7 +136,36 @@ type Waiter struct {
 	// advances remote origins (the paper's runtime makes the same promise
 	// for message progress via its helper threads).
 	Progress func()
+	// Bell is the rank's doorbell.  WaitIdle, WaitBackoff and Park park on
+	// it and require it; Wait never touches it.
+	Bell *Bell
 }
+
+func (w *Waiter) budget() int {
+	if w.SpinBudget <= 0 {
+		return DefaultSpinBudget
+	}
+	return w.SpinBudget
+}
+
+// boundary runs the yield-boundary hooks: the poison check (which unwinds)
+// and the progress hook.
+func (w *Waiter) boundary() {
+	if w.Poison != nil {
+		if err := w.Poison(); err != nil {
+			panic(AbortPanic{Err: err})
+		}
+	}
+	if w.Progress != nil {
+		w.Progress()
+	}
+}
+
+// Park blocks the rank on its bell until a ring or the safety-net timeout,
+// for blocking sites that are not condition waits (a sender refused by a
+// full transport window parks here until the acks reopen it).  It reports
+// whether a ring, rather than the timeout, ended the park.
+func (w *Waiter) Park() bool { return w.Bell.Park(idleSleepMax) }
 
 // Wait blocks until cond returns true, stealing task chunks while it waits.
 // This is the loop the paper uses "in dozens of places in the Pure runtime":
@@ -109,24 +204,55 @@ func (w *Waiter) Wait(cond func() bool) {
 
 // WaitIdle is Wait for conditions completed by background I/O — an
 // inter-node frame delivered by a transport reader goroutine — rather than
-// by another rank's store.  Pure yield-spinning starves the Go netpoller:
+// by another rank's store.  Yield-spinning starves the Go netpoller:
 // goroutines that Gosched in a loop keep the run queues non-empty, so no P
 // ever parks in network poll and socket readiness is only discovered by
-// sysmon's ~10ms fallback — every cross-node message pays ~10ms however
-// fast the wire is.  After a few yield rounds without progress WaitIdle
-// sleeps with exponential backoff instead, parking the goroutine on a
-// timer so a P goes idle and the netpoller delivers the frame promptly.
+// sysmon's ~10ms fallback.  WaitIdle instead spins one budget, runs the
+// boundary hooks, re-probes, and parks on the rank's bell; the completer
+// rings the bell after publishing, so the parked goroutine frees its P for
+// the netpoller and wakes as soon as the frame lands.  The park timeout
+// (idleSleepMax) is only a safety net against a completer that does not
+// ring.
+//
+// Every completer of a WaitIdle condition must ring the waiter's bell after
+// making the condition true; the token persists, so a ring between the last
+// failed probe and the park is not lost.  Poisoners ring too.  Steal,
+// Poison and Progress behave exactly as in Wait, and a successful steal
+// resets the budget.
+func (w *Waiter) WaitIdle(cond func() bool) {
+	budget := w.budget()
+	spins := 0
+	for !cond() {
+		if w.Steal != nil && w.Steal.TrySteal() {
+			spins = 0
+			continue
+		}
+		spins++
+		if spins >= budget {
+			w.boundary()
+			spins = 0
+			if cond() {
+				return
+			}
+			w.Bell.Park(idleSleepMax)
+		}
+	}
+}
+
+// WaitBackoff is the bounded park for conditions on a transport-bridged
+// path whose completer is a local store that does not ring (a collective
+// non-leader waiting on its leader, a mailbox filled by a local sender):
+// after a few yield rounds without progress it parks on the bell with an
+// exponentially growing timeout, so a P goes idle for the netpoller while a
+// late store still costs at most idleSleepMax.  Any ring — a frame for this
+// rank, a task opened for stealing, a poison — cuts the park short and
+// restarts the backoff.  Steal, Poison and Progress behave as in Wait.
 //
 // Shared-memory waits must keep using Wait: their completer is another
 // spinning rank that owns (or shares) a hardware thread, the paper's
-// assumption, and a sleep there only adds latency.  Steal, Poison and
-// Progress behave exactly as in Wait, and a successful steal resets the
-// backoff — running a chunk was progress.
-func (w *Waiter) WaitIdle(cond func() bool) {
-	budget := w.SpinBudget
-	if budget <= 0 {
-		budget = DefaultSpinBudget
-	}
+// assumption, and a park there only adds latency.
+func (w *Waiter) WaitBackoff(cond func() bool) {
+	budget := w.budget()
 	spins, rounds := 0, 0
 	sleep := idleSleepMin
 	for !cond() {
@@ -136,22 +262,14 @@ func (w *Waiter) WaitIdle(cond func() bool) {
 		}
 		spins++
 		if spins >= budget {
-			if w.Poison != nil {
-				if err := w.Poison(); err != nil {
-					panic(AbortPanic{Err: err})
-				}
-			}
-			if w.Progress != nil {
-				w.Progress()
-			}
+			w.boundary()
 			spins = 0
 			if rounds++; rounds <= idleYieldRounds {
 				runtime.Gosched()
-			} else {
-				time.Sleep(sleep)
-				if sleep < idleSleepMax {
-					sleep *= 2
-				}
+			} else if w.Bell.Park(sleep) {
+				sleep = idleSleepMin
+			} else if sleep < idleSleepMax {
+				sleep *= 2
 			}
 		}
 	}

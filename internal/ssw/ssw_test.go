@@ -4,6 +4,7 @@ import (
 	"errors"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 type countingStealer struct {
@@ -130,4 +131,90 @@ func TestPoisonNotConsultedOnFastPath(t *testing.T) {
 	// failed by) the poison hook.
 	w := &Waiter{Poison: func() error { t.Fatal("poison consulted on fast path"); return nil }}
 	w.Wait(func() bool { return true })
+}
+
+func TestBellTokenPersists(t *testing.T) {
+	b := NewBell()
+	b.Ring()
+	b.Ring() // coalesces with the pending token
+	if !b.Park(time.Hour) {
+		t.Fatal("a ring before the park did not end it")
+	}
+	if b.Park(time.Millisecond) {
+		t.Fatal("two rings left two tokens; a bell holds one")
+	}
+}
+
+func TestBellParkTimesOut(t *testing.T) {
+	b := NewBell()
+	start := time.Now()
+	if b.Park(2 * time.Millisecond) {
+		t.Fatal("an unrung park reported a ring")
+	}
+	if d := time.Since(start); d < 2*time.Millisecond {
+		t.Fatalf("park returned after %v, before its timeout", d)
+	}
+	// The timer is reused: a ring after a timeout still wakes the next park.
+	go func() {
+		time.Sleep(time.Millisecond)
+		b.Ring()
+	}()
+	if !b.Park(time.Hour) {
+		t.Fatal("ring after a timed-out park was lost")
+	}
+}
+
+func TestWaitIdleWakesOnRing(t *testing.T) {
+	b := NewBell()
+	var done atomic.Bool
+	w := &Waiter{SpinBudget: 2, Bell: b}
+	go func() {
+		time.Sleep(5 * time.Millisecond)
+		done.Store(true)
+		b.Ring()
+	}()
+	start := time.Now()
+	w.WaitIdle(done.Load)
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("WaitIdle took %v to notice a rung completion", d)
+	}
+}
+
+func TestWaitIdleUnwindsOnPoisonRing(t *testing.T) {
+	b := NewBell()
+	var poisoned atomic.Bool
+	errAbort := errors.New("aborted")
+	w := &Waiter{SpinBudget: 2, Bell: b, Poison: func() error {
+		if poisoned.Load() {
+			return errAbort
+		}
+		return nil
+	}}
+	go func() {
+		time.Sleep(5 * time.Millisecond)
+		poisoned.Store(true)
+		b.Ring()
+	}()
+	defer func() {
+		if p, ok := recover().(AbortPanic); !ok || p.Err != errAbort {
+			t.Fatalf("recovered %v, want AbortPanic", p)
+		}
+	}()
+	w.WaitIdle(func() bool { return false })
+	t.Fatal("WaitIdle returned instead of unwinding")
+}
+
+func TestWaitBackoffStealsAndCompletes(t *testing.T) {
+	s := &countingStealer{}
+	s.available.Store(5)
+	var done atomic.Bool
+	w := &Waiter{Steal: s, SpinBudget: 2, Bell: NewBell()}
+	go func() {
+		time.Sleep(2 * time.Millisecond)
+		done.Store(true) // an unringing completer: the backoff timeout finds it
+	}()
+	w.WaitBackoff(done.Load)
+	if s.stolen.Load() != 5 {
+		t.Fatalf("stole %d chunks, want all 5", s.stolen.Load())
+	}
 }

@@ -201,21 +201,23 @@ type frameReader struct {
 	payload []byte
 }
 
-// Read blocks for the next complete frame.
-func (fr *frameReader) Read() (Frame, error) {
+// Read blocks for the next complete frame and decodes it into f (which the
+// caller reuses across reads, so the read path allocates nothing).
+func (fr *frameReader) Read(f *Frame) error {
 	if _, err := io.ReadFull(fr.r, fr.hdr[:]); err != nil {
-		return Frame{}, err
+		return err
 	}
-	f, n, err := decodeHeader(fr.hdr[:])
+	h, n, err := decodeHeader(fr.hdr[:])
 	if err != nil {
-		return Frame{}, err
+		return err
 	}
 	if cap(fr.payload) < n {
 		fr.payload = make([]byte, n)
 	}
+	*f = h
 	f.Payload = fr.payload[:n]
 	if _, err := io.ReadFull(fr.r, f.Payload); err != nil {
-		return Frame{}, fmt.Errorf("transport: reading %d-byte %s payload: %w", n, f.Kind, err)
+		return fmt.Errorf("transport: reading %d-byte %s payload: %w", n, f.Kind, err)
 	}
-	return f, nil
+	return nil
 }

@@ -47,9 +47,9 @@ func TestFrameReaderStream(t *testing.T) {
 		buf.Write(f.Encode())
 	}
 	fr := frameReader{r: &buf}
+	var f Frame
 	for i := 0; i < n; i++ {
-		f, err := fr.Read()
-		if err != nil {
+		if err := fr.Read(&f); err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
 		if f.Seq != uint64(i+1) || len(f.Payload) != i {

@@ -26,9 +26,15 @@ import (
 // handlers strictly in order — the next expected sequence is delivered,
 // duplicates (at or below the watermark) are dropped, and anything past the
 // expected sequence is dropped too, to be recovered by the sender's
-// retransmission.  Acks piggyback on every outgoing frame; an explicit ack
-// flows when the reader drains its buffer (the stream went idle) or every
-// ackEvery frames, whichever comes first.
+// retransmission.  Acks piggyback on every outgoing frame.  An explicit ack
+// flows only when no outbound frame carried the watermark within ackDelay
+// of a delivery (the delayed-ack timer), or once ackBound frames are owed,
+// whichever comes first — so a ping-pong never sends one, and a one-way
+// stream cannot stall the sender's resend window.
+//
+// The frame path allocates nothing in steady state: acked encode buffers
+// return to a per-link free list, the resend buffer keeps its backing
+// array, and each reader decodes into one reused Frame.
 type link struct {
 	t      *Transport
 	peer   int
@@ -43,6 +49,8 @@ type link struct {
 	nextSeq  uint64
 	unacked  []outFrame // resend buffer, ascending seq
 	ackedOut uint64     // highest seq the peer has acked
+	free     [][]byte   // encode buffers of acked frames, for reuse
+	busy     bool       // a send hit the full window since the last ack progress
 	attempts int        // retransmit rounds since the last ack progress
 	retryAt  time.Time  // when the next retransmit round is due
 	scratch  []byte     // control-frame encode buffer
@@ -52,9 +60,9 @@ type link struct {
 
 	recvMu    sync.Mutex
 	delivered uint64 // highest in-order seq handed to the handlers
-	sinceAck  int    // delivered frames since the last explicit/piggybacked ack we sent
 
 	deliveredA  atomic.Uint64 // mirror of delivered for lock-free reads (handshake, acks)
+	ackedOutA   atomic.Uint64 // mirror of ackedOut: the reader skips mu for stale acks
 	lastRecv    atomic.Int64  // unix nanos of the last frame heard from the peer
 	everUp      atomic.Bool
 	departed    atomic.Bool // peer sent Bye: stop talking to it, it is not a failure
@@ -75,6 +83,18 @@ type link struct {
 	samplesN   uint64
 	rttNs      atomic.Int64 // smoothed filtered round-trip (EWMA); 0 = no sample yet
 	offNs      atomic.Int64 // current offset estimate (peer minus local)
+
+	// Delayed ack (receiver side).  ackSent is the highest delivered
+	// watermark written to the peer on any frame; a delivery past it arms
+	// ackTimer (once: ackArmed), which sends an explicit ack only if no
+	// frame has carried the armed-at watermark (ackMark) by the time it
+	// fires.  ackBound owed frames force an explicit ack at once.
+	ackSent  atomic.Uint64
+	ackMark  atomic.Uint64
+	ackArmed atomic.Bool
+	ackTimer *time.Timer
+	ackBound uint64
+	ackDelay time.Duration
 
 	events *linkEventRing // transport trace ring; nil when link tracing is off
 
@@ -110,7 +130,39 @@ type linkCounters struct {
 // ackEvery bounds how many delivered frames may ride on piggybacked acks
 // alone before the receiver owes the sender an explicit ack, so a one-way
 // stream (a long Bcast fan-out) cannot stall the sender's resend window.
+// A link whose window (MaxUnacked) is smaller acks every half window.
 const ackEvery = 64
+
+// ackDelay is how long a delivered frame waits for an outbound frame to
+// carry its ack before the receiver sends an explicit one.  It stays well
+// under the retransmit backoff (a quarter of RetryBackoff at most), so a
+// quiet stream is acked long before the sender would resend.
+const ackDelay = 500 * time.Microsecond
+
+// Encode-buffer recycling bounds: a link keeps at most freeBufs acked
+// buffers, none larger than freeBufMax (bulk frames go back to the GC).
+const (
+	freeBufs   = 64
+	freeBufMax = 64 << 10
+)
+
+// newLink builds one peer's link with its delayed-ack timer stopped.
+func newLink(t *Transport, peer int) *link {
+	cfg := &t.cfg
+	l := &link{
+		t:        t,
+		peer:     peer,
+		addr:     cfg.Addrs[peer],
+		dialer:   cfg.Node < peer,
+		rng:      cfg.Faults.Seed ^ (uint64(cfg.Node)<<32 | uint64(peer)) ^ 0x9e3779b97f4a7c15,
+		events:   newLinkEventRing(cfg.LinkEvents),
+		ackBound: uint64(min(ackEvery, max(1, cfg.MaxUnacked/2))),
+		ackDelay: min(ackDelay, cfg.RetryBackoff/4),
+	}
+	l.ackTimer = time.AfterFunc(time.Hour, l.delayedAck)
+	l.ackTimer.Stop()
+	return l
+}
 
 // send queues one sequenced frame and transmits it on the live connection.
 // It returns ErrBusy when the resend window is full (the caller yields and
@@ -133,6 +185,7 @@ func (l *link) send(f *Frame) error {
 	}
 	if len(l.unacked) >= l.t.cfg.MaxUnacked {
 		l.stats.sendBusy.Add(1)
+		l.busy = true // the ack that reopens the window calls Writable
 		l.mu.Unlock()
 		return ErrBusy
 	}
@@ -140,7 +193,7 @@ func (l *link) send(f *Frame) error {
 	f.Seq = l.nextSeq
 	f.Ack = l.deliveredA.Load()
 	f.SrcNode = int32(l.t.cfg.Node)
-	buf := AppendFrame(make([]byte, 0, HeaderLen+len(f.Payload)), f)
+	buf := AppendFrame(l.encodeBufLocked(HeaderLen+len(f.Payload)), f)
 	if l.events != nil {
 		l.events.add(obs.LinkEvent{
 			TS: time.Now().UnixNano(), Kind: obs.LinkSend,
@@ -156,30 +209,56 @@ func (l *link) send(f *Frame) error {
 	if l.conn != nil && !l.partitioned.Load() {
 		if l.injectDropLocked() {
 			l.stats.dropsInjected.Add(1)
-		} else {
-			l.writeLocked(buf)
+		} else if l.writeLocked(buf) {
+			l.ackSent.Store(f.Ack) // the piggyback
 		}
 	}
 	l.mu.Unlock()
 	return nil
 }
 
+// encodeBufLocked returns an empty buffer of capacity at least n, recycled
+// from an acked frame when one fits.  Caller holds mu.
+func (l *link) encodeBufLocked(n int) []byte {
+	if k := len(l.free); k > 0 && cap(l.free[k-1]) >= n {
+		b := l.free[k-1]
+		l.free[k-1] = nil
+		l.free = l.free[:k-1]
+		return b[:0]
+	}
+	return make([]byte, 0, n)
+}
+
 // sendControl transmits one unsequenced frame (ack, heartbeat, handshake,
 // bye) on the live connection, best-effort: with the connection down the
-// frame is simply not sent.
-func (l *link) sendControl(kind Kind, payload []byte) {
+// frame is simply not sent.  It reports whether the frame was written.
+func (l *link) sendControl(kind Kind, payload []byte) bool {
 	l.mu.Lock()
+	ok := false
 	if l.conn != nil && !l.partitioned.Load() {
 		f := Frame{Kind: kind, SrcNode: int32(l.t.cfg.Node), Ack: l.deliveredA.Load(), Payload: payload}
 		l.scratch = AppendFrame(l.scratch[:0], &f)
-		l.writeLocked(l.scratch)
+		if ok = l.writeLocked(l.scratch); ok {
+			l.ackSent.Store(f.Ack)
+		}
 	}
 	l.mu.Unlock()
+	return ok
+}
+
+// sendAck writes an explicit ack carrying the current delivered watermark.
+func (l *link) sendAck() bool {
+	if !l.sendControl(KindAck, nil) {
+		return false
+	}
+	l.stats.acksSent.Add(1)
+	return true
 }
 
 // writeLocked writes one encoded frame to the live connection, tearing the
-// connection down (and arming the redial) on error.  Caller holds mu.
-func (l *link) writeLocked(buf []byte) {
+// connection down (and arming the redial) on error.  It reports whether the
+// frame was written.  Caller holds mu.
+func (l *link) writeLocked(buf []byte) bool {
 	if d := l.t.cfg.PeerDeadAfter; d > 0 {
 		l.conn.SetWriteDeadline(time.Now().Add(d))
 	}
@@ -188,10 +267,11 @@ func (l *link) writeLocked(buf []byte) {
 		if err == nil {
 			l.stats.framesSent.Add(1)
 			l.stats.bytesSent.Add(int64(len(buf)))
-			return
+			return true
 		}
 	}
 	l.teardownConnLocked()
+	return false
 }
 
 // teardownConnLocked drops the current connection (write error, read error,
@@ -238,7 +318,7 @@ func (l *link) installConn(c Conn, peerDelivered uint64) bool {
 	if l.everUp.Swap(true) {
 		l.stats.reconnects.Add(1)
 	}
-	l.handleAckLocked(peerDelivered)
+	reopened := l.handleAckLocked(peerDelivered)
 	if n := len(l.unacked); n > 0 {
 		for _, of := range l.unacked {
 			l.bw.Write(of.buf)
@@ -246,6 +326,7 @@ func (l *link) installConn(c Conn, peerDelivered uint64) bool {
 		if err := l.bw.Flush(); err != nil {
 			l.teardownConnLocked()
 			l.mu.Unlock()
+			l.notifyWritable(reopened)
 			return false
 		}
 		l.stats.framesSent.Add(int64(n))
@@ -254,6 +335,7 @@ func (l *link) installConn(c Conn, peerDelivered uint64) bool {
 		}
 	}
 	l.mu.Unlock()
+	l.notifyWritable(reopened)
 
 	l.t.wg.Add(1)
 	go l.readLoop(c, gen)
@@ -261,29 +343,40 @@ func (l *link) installConn(c Conn, peerDelivered uint64) bool {
 }
 
 // handleAckLocked processes a cumulative ack: completed frames leave the
-// resend buffer and ack progress resets the retransmit clock.  Caller
-// holds mu.
-func (l *link) handleAckLocked(a uint64) {
+// resend buffer (their encode buffers go to the free list) and ack progress
+// resets the retransmit clock.  It reports whether the ack reopened a
+// window that refused a send; the caller then calls notifyWritable after
+// releasing mu.  Caller holds mu.
+func (l *link) handleAckLocked(a uint64) (reopened bool) {
 	if a <= l.ackedOut {
-		return
+		return false
 	}
 	l.ackedOut = a
+	l.ackedOutA.Store(a)
 	drop := 0
 	for drop < len(l.unacked) && l.unacked[drop].seq <= a {
+		if b := l.unacked[drop].buf; cap(b) <= freeBufMax && len(l.free) < freeBufs {
+			l.free = append(l.free, b)
+		}
 		drop++
 	}
 	if drop > 0 {
-		copy(l.unacked, l.unacked[drop:])
-		for i := len(l.unacked) - drop; i < len(l.unacked); i++ {
-			l.unacked[i] = outFrame{}
-		}
-		l.unacked = l.unacked[:len(l.unacked)-drop]
-		if len(l.unacked) == 0 {
-			l.unacked = nil
-		}
+		n := copy(l.unacked, l.unacked[drop:])
+		clear(l.unacked[n:])
+		l.unacked = l.unacked[:n]
+		reopened, l.busy = l.busy, false
 	}
 	l.attempts = 0
 	l.retryAt = time.Now().Add(l.t.cfg.RetryBackoff)
+	return reopened
+}
+
+// notifyWritable tells the owner that sends refused with ErrBusy may now
+// succeed.  Called without mu.
+func (l *link) notifyWritable(reopened bool) {
+	if h := l.t.h.Writable; reopened && h != nil {
+		h(l.peer)
+	}
 }
 
 // readLoop consumes frames from one connection until it breaks or is
@@ -293,9 +386,9 @@ func (l *link) readLoop(c Conn, gen uint64) {
 	defer l.t.wg.Done()
 	br := bufio.NewReaderSize(c, 64<<10)
 	fr := frameReader{r: br}
+	var f Frame // reused: the handlers' frame is only valid during the call
 	for {
-		f, err := fr.Read()
-		if err != nil {
+		if err := fr.Read(&f); err != nil {
 			l.mu.Lock()
 			if l.gen == gen {
 				l.teardownConnLocked()
@@ -309,14 +402,16 @@ func (l *link) readLoop(c Conn, gen uint64) {
 		l.lastRecv.Store(time.Now().UnixNano())
 		l.stats.framesRecv.Add(1)
 		l.stats.bytesRecv.Add(int64(HeaderLen + len(f.Payload)))
-		if f.Ack > 0 {
+		if f.Ack > l.ackedOutA.Load() {
 			l.mu.Lock()
-			l.handleAckLocked(f.Ack)
+			reopened := l.handleAckLocked(f.Ack)
 			l.mu.Unlock()
+			l.notifyWritable(reopened)
 		}
 		switch f.Kind {
 		case KindData, KindApplied:
-			l.acceptSequenced(&f, br)
+			f.SrcNode = int32(l.peer) // the handlers may key per-peer state on it
+			l.acceptSequenced(&f)
 		case KindHeartbeat:
 			l.stats.hbRecv.Add(1)
 			if hb, err := DecodeHeartbeat(f.Payload); err == nil {
@@ -334,19 +429,18 @@ func (l *link) readLoop(c Conn, gen uint64) {
 }
 
 // acceptSequenced runs the receive side of the reliability protocol for one
-// Data/Applied frame and owes the sender an ack when the stream goes idle.
-func (l *link) acceptSequenced(f *Frame, br *bufio.Reader) {
+// Data/Applied frame, then settles the ack it owes the sender.
+func (l *link) acceptSequenced(f *Frame) {
 	if fl := &l.t.cfg.Faults; fl.DelayProb > 0 && l.t.rand01() < fl.DelayProb {
 		l.stats.delaysInjected.Add(1)
 		time.Sleep(time.Duration(l.t.rand01() * float64(fl.DelayMax)))
 	}
-	owesAck := false
+	dup := false
 	l.recvMu.Lock()
 	switch {
 	case f.Seq == l.delivered+1:
 		l.delivered++
 		l.deliveredA.Store(l.delivered)
-		l.sinceAck++
 		if l.events != nil {
 			l.events.add(obs.LinkEvent{
 				TS: time.Now().UnixNano(), Kind: obs.LinkRecv,
@@ -363,20 +457,54 @@ func (l *link) acceptSequenced(f *Frame, br *bufio.Reader) {
 		}
 	case f.Seq <= l.delivered:
 		l.stats.dupsDropped.Add(1)
+		dup = true
 	default:
 		// A gap: an earlier frame was dropped (injected or lost with a dead
 		// connection).  Go-back-N: drop this one too and let the sender's
 		// retransmission replay the stream from the gap in order.
 		l.stats.oooDropped.Add(1)
 	}
-	if l.sinceAck > 0 && (l.sinceAck >= ackEvery || br.Buffered() == 0) {
-		l.sinceAck = 0
-		owesAck = true
-	}
+	d := l.delivered
 	l.recvMu.Unlock()
-	if owesAck {
-		l.stats.acksSent.Add(1)
-		l.sendControl(KindAck, nil)
+	if sent := l.ackSent.Load(); d > sent {
+		// A duplicate means the sender is already retransmitting for want
+		// of this ack: send it now rather than after the delay.
+		if dup || d-sent >= l.ackBound {
+			l.sendAck()
+		} else {
+			l.armDelayedAck()
+		}
+	}
+}
+
+// armDelayedAck starts the delayed-ack timer unless it is already running
+// (or the link is finished: a stopped link must not keep re-arming).
+func (l *link) armDelayedAck() {
+	if l.t.closed.Load() || l.dead.Load() || l.departed.Load() {
+		return
+	}
+	if l.ackArmed.CompareAndSwap(false, true) {
+		l.ackMark.Store(l.deliveredA.Load())
+		l.ackTimer.Reset(l.ackDelay)
+	}
+}
+
+// delayedAck is the delayed-ack timer: if no outbound frame has carried the
+// watermark owed when the timer was armed, send an explicit ack.  A delivery
+// newer than the mark re-arms the timer for its own full delay, so the
+// frames of a bidirectional exchange keep riding piggybacks.  With the
+// connection down nothing is re-armed: the reconnect handshake carries the
+// delivered watermark.
+func (l *link) delayedAck() {
+	if l.ackSent.Load() < l.ackMark.Load() && !l.sendAck() {
+		l.ackArmed.Store(false)
+		return
+	}
+	l.ackArmed.Store(false)
+	// A delivery between the mark and the Store above found the timer still
+	// armed and left it to us.
+	if l.deliveredA.Load() > l.ackSent.Load() {
+		l.armDelayedAck()
 	}
 }
 
@@ -390,9 +518,13 @@ func (l *link) handleBye(f *Frame) {
 	already := l.departed.Swap(true)
 	// Nothing queued for a departed peer can be delivered; dropping the
 	// resend buffer stops the retransmit clock from declaring a clean
-	// departure a failure.
+	// departure a failure.  Sends parked on the full window are released:
+	// from now on they are dropped at post.
 	l.unacked = nil
+	reopened := l.busy
+	l.busy = false
 	l.mu.Unlock()
+	l.notifyWritable(reopened)
 	if !already {
 		if h := l.t.h.PeerBye; h != nil {
 			var dead []int
@@ -628,8 +760,8 @@ func (l *link) handshakeDial(c Conn) bool {
 	}
 	c.SetReadDeadline(time.Now().Add(t.cfg.DialTimeout))
 	fr := frameReader{r: c}
-	rf, err := fr.Read()
-	if err != nil || rf.Kind != KindWelcome {
+	var rf Frame
+	if err := fr.Read(&rf); err != nil || rf.Kind != KindWelcome {
 		c.Close()
 		return false
 	}

@@ -33,9 +33,9 @@ func (e *DeadError) Error() string {
 
 // Handlers are the upcalls a Transport makes into its owner (the core
 // runtime).  Deliver and Applied run on a link's reader goroutine with the
-// link's receive lock held, strictly in link order; their Frame (payload
-// included) is only valid for the duration of the call — the handler copies
-// what it keeps.  PeerDead and PeerBye run at most once per peer, off the
+// link's receive lock held, strictly in link order, and their frame's
+// SrcNode is always that link's peer; the Frame (payload included) is only
+// valid for the duration of the call — the handler copies what it keeps.  PeerDead and PeerBye run at most once per peer, off the
 // transport's internal goroutines.
 type Handlers struct {
 	// Deliver receives one KindData frame.
@@ -45,6 +45,11 @@ type Handlers struct {
 	// PeerDead reports a peer declared dead by the failure detector
 	// (heartbeat silence or retry-budget exhaustion).
 	PeerDead func(node int, reason string)
+	// Writable, if non-nil, reports that the link toward node can take
+	// frames again after Send refused one with ErrBusy: an ack reopened the
+	// resend window, or the peer departed.  It runs on a transport
+	// goroutine without link locks held and must not block.
+	Writable func(node int)
 	// PeerBye reports a peer's deliberate departure.  abort distinguishes a
 	// poisoned runtime (propagate the failure) from a completed one; dead
 	// lists the node ids the departing peer blamed for its abort, so a
@@ -99,15 +104,7 @@ func New(cfg Config, be Backend, nranks int, h Handlers) (*Transport, error) {
 		if peer == cfg.Node {
 			continue
 		}
-		l := &link{
-			t:      t,
-			peer:   peer,
-			addr:   cfg.Addrs[peer],
-			dialer: cfg.Node < peer,
-			rng:    cfg.Faults.Seed ^ (uint64(cfg.Node)<<32 | uint64(peer)) ^ 0x9e3779b97f4a7c15,
-			events: newLinkEventRing(cfg.LinkEvents),
-		}
-		t.links[peer] = l
+		t.links[peer] = newLink(t, peer)
 	}
 	return t, nil
 }
@@ -208,6 +205,7 @@ func (t *Transport) Close() error {
 		if l == nil {
 			continue
 		}
+		l.ackTimer.Stop()
 		l.mu.Lock()
 		if l.conn != nil {
 			l.conn.Close()
@@ -390,8 +388,8 @@ func (t *Transport) handleAccept(c Conn) {
 	defer t.wg.Done()
 	c.SetReadDeadline(time.Now().Add(t.cfg.DialTimeout))
 	fr := frameReader{r: c}
-	f, err := fr.Read()
-	if err != nil || f.Kind != KindHello {
+	var f Frame
+	if err := fr.Read(&f); err != nil || f.Kind != KindHello {
 		c.Close()
 		return
 	}
@@ -412,6 +410,13 @@ func (t *Transport) handleAccept(c Conn) {
 		c.Close()
 		l.die(fmt.Sprintf("configuration mismatch with node %d: it runs %d nodes / %d ranks, this node %d / %d",
 			peer, hello.Nodes, hello.NRanks, len(t.cfg.Addrs), t.nranks))
+		return
+	}
+	if l.dead.Load() || l.departed.Load() || l.partitioned.Load() {
+		// A link this side has given up on (or is partitioning) must not
+		// answer: a Welcome would count as traffic on the dialer's side and
+		// keep its failure detector from ever firing.
+		c.Close()
 		return
 	}
 	w := Hello{

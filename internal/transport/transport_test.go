@@ -6,6 +6,7 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -564,5 +565,89 @@ func TestThreeNodeMesh(t *testing.T) {
 			next[f.SrcRank]++
 		}
 		cols[node].mu.Unlock()
+	}
+}
+
+// TestLinkDelayedAck pins down the ack discipline: a short one-way burst is
+// acked by the delayed-ack timer (within the ack delay plus slack, long
+// before any retransmit), a ping-pong rides piggybacked acks with almost
+// no explicit ones, and Close's drain still finishes in milliseconds.
+func TestLinkDelayedAck(t *testing.T) {
+	addrs := reserveAddrs(t, 2)
+	var tp [2]*Transport
+	pong := make(chan struct{}, 1)
+	var pingPong atomic.Bool
+	handlers := [2]Handlers{
+		{Deliver: func(f *Frame) {
+			if pingPong.Load() {
+				pong <- struct{}{}
+			}
+		}},
+		{Deliver: func(f *Frame) {
+			if pingPong.Load() { // echo from the reader: the reply carries the ack
+				tp[1].Send(0, &Frame{Kind: KindData, Payload: f.Payload})
+			}
+		}},
+	}
+	for node := 0; node < 2; node++ {
+		var err error
+		// Slow heartbeats: they carry the watermark too, and the burst below
+		// must be acked by the delayed-ack timer, not by a heartbeat.
+		cfg := Config{Node: node, Addrs: addrs, Job: 7, HeartbeatEvery: time.Second, PeerDeadAfter: 10 * time.Second}
+		tp[node], err = New(cfg, nil, 2, handlers[node])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tp[node].Start(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	defer tp[1].Close()
+	waitUp(t, tp[0], 1)
+	waitUp(t, tp[1], 0)
+
+	// One-way burst, shorter than ackEvery, then idle.
+	const burst = ackEvery / 4
+	start := time.Now()
+	sendN(t, tp[0], 1, burst)
+	slack := DefaultRetryBackoff / 2
+	waitFor(t, ackDelay+slack, "burst acked by the delayed-ack timer", func() bool {
+		return tp[0].Stats()[1].Unacked == 0
+	})
+	took := time.Since(start)
+	st0, st1 := tp[0].Stats()[1], tp[1].Stats()[0]
+	if st0.Retransmits != 0 {
+		t.Fatalf("a delayed ack cost %d retransmits", st0.Retransmits)
+	}
+	if st1.AcksSent == 0 || st1.AcksSent > 2 {
+		t.Fatalf("receiver sent %d explicit acks for a %d-frame burst, want 1 or 2", st1.AcksSent, burst)
+	}
+	t.Logf("%d-frame burst acked after %v with %d explicit acks", burst, took, st1.AcksSent)
+
+	// Ping-pong: every frame's watermark rides the reply.
+	const rounds = 500
+	time.Sleep(2 * ackDelay) // settle any timer still armed by the burst
+	before := tp[0].Stats()[1].AcksSent + tp[1].Stats()[0].AcksSent
+	pingPong.Store(true)
+	for i := 0; i < rounds; i++ {
+		if err := tp[0].Send(1, &Frame{Kind: KindData, Payload: []byte("ping")}); err != nil {
+			t.Fatal(err)
+		}
+		<-pong
+	}
+	pingPong.Store(false)
+	acks := tp[0].Stats()[1].AcksSent + tp[1].Stats()[0].AcksSent - before
+	if acks > rounds/50 {
+		t.Fatalf("ping-pong of %d round trips sent %d explicit acks, want <= %d", rounds, acks, rounds/50)
+	}
+	t.Logf("ping-pong: %d round trips, %d explicit acks", rounds, acks)
+
+	// A last one-way burst is still unacked at Close: the drain waits out
+	// the delayed ack, not a retransmit round or the drain timeout.
+	sendN(t, tp[0], 1, burst)
+	start = time.Now()
+	tp[0].Close()
+	if d := time.Since(start); d > 250*time.Millisecond {
+		t.Fatalf("Close took %v to drain a %d-frame burst", d, burst)
 	}
 }

@@ -13,6 +13,14 @@ go build ./...
 echo "== go vet ./..."
 go vet ./...
 
+echo "== gofmt -l (every Go file in the checkout, build outputs excluded)"
+unformatted="$(git ls-files -co --exclude-standard '*.go' | xargs gofmt -l)"
+if [ -n "$unformatted" ]; then
+    echo "verify: FAIL — files need gofmt:" >&2
+    echo "$unformatted" >&2
+    exit 1
+fi
+
 echo "== go test ./..."
 go test ./...
 
@@ -54,6 +62,13 @@ if [ -n "$bad" ]; then
     echo "$bad" >&2
     exit 1
 fi
+
+echo "== TCP zero-allocation gate (steady-state cross-node ping-pong)"
+# The cross-node frame path recycles everything it touches — pooled
+# requests, payload and encode buffers, piggybacked acks, one reused read
+# frame — so >=4096 warm TCP round trips may allocate only for background
+# heartbeats (< 0.05 mallocs per round trip, counted from MemStats).
+go test -count=1 -run 'TestTCPPingPongSteadyStateAllocs$' ./internal/core
 
 echo "== TCP transport chaos (real sockets; full run: make chaos-net)"
 go test -race -count=1 -run 'TestChaosTCP' ./internal/core
