@@ -10,13 +10,14 @@ test:
 
 race:
 	go test -race ./internal/queue ./internal/collective ./internal/obs ./internal/rma \
-		./internal/sched ./internal/netsim ./internal/ssw ./internal/core ./internal/statsd \
-		./internal/shmem ./internal/apps/shmem
+		./internal/sched ./internal/netsim ./internal/ssw ./internal/core ./internal/transport \
+		./internal/statsd ./internal/shmem ./internal/apps/shmem
 
 # The deterministic schedule explorer: model tests for the lock-free
 # protocols (PBQ/ring FIFO refinement, SPTD no-lost-contribution, RMA
 # epochs, work-stealing exactly-once, SSW doorbell no-lost-wakeup and
-# poison unwind) over PCT seeds plus bounded exhaustive runs.  Override the seed count with PURE_CHECK_SEEDS=n;
+# poison unwind, split-copy rendezvous exactly-once chunk claims and
+# retirement) over PCT seeds plus bounded exhaustive runs.  Override the seed count with PURE_CHECK_SEEDS=n;
 # replay one failing schedule with PURE_CHECK_SEED=n.
 check:
 	go test -tags purecheck -count=1 ./internal/check

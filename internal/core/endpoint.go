@@ -372,11 +372,12 @@ func (ep *Channel) Irecv(buf []byte) *Request {
 	if len(buf) < ep.eagerMax {
 		r.stats.RecvsEager++
 		req.kind = reqRecvEager
+		ep.ch.recvPend.push(req)
 	} else {
 		r.stats.RecvsRendezvous++
 		req.kind = reqRecvRvz
+		ep.ch.postRecvRvz(ep.ch.rvz(r.rt.cfg.RendezvousDepth), req)
 	}
-	ep.ch.recvPend.push(req)
 	r.progressRecv(ep.ch)
 	return req
 }

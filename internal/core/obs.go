@@ -25,8 +25,10 @@ type metricSet struct {
 	pbqEnqueueFull *obs.Counter
 	pbqDepthMax    *obs.Gauge
 
-	// Rendezvous single-copy handoffs completed by senders.
-	rvzHandoffs *obs.Counter
+	// Rendezvous single-copy handoffs completed by senders, and the chunks
+	// of split copies that receivers copied themselves.
+	rvzHandoffs   *obs.Counter
+	rvzRecvChunks *obs.Counter
 
 	// Collective calls entered (counted once per rank per call).
 	barriers, reduces, allreduces, bcasts *obs.Counter
@@ -86,6 +88,7 @@ func newMetricSet(reg *obs.Metrics) *metricSet {
 		pbqEnqueueFull: reg.Counter("pure_pbq_enqueue_full_total"),
 		pbqDepthMax:    reg.Gauge("pure_pbq_depth_max"),
 		rvzHandoffs:    reg.Counter("pure_rendezvous_handoffs_total"),
+		rvzRecvChunks:  reg.Counter("pure_rendezvous_recv_chunks_total"),
 		barriers:       reg.Counter("pure_barriers_total"),
 		reduces:        reg.Counter("pure_reduces_total"),
 		allreduces:     reg.Counter("pure_allreduces_total"),

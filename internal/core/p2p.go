@@ -31,6 +31,79 @@ type channel struct {
 	sendPend reqList // owned by sender
 	recvPend reqList // owned by receiver
 	recvSeq  uint64  // rendezvous ticket counter, owned by receiver
+	// recvUnposted counts pending rendezvous receives whose envelope is not
+	// yet pushed (the ring was full); owned by receiver.  While it is
+	// nonzero, later receives wait their turn so envelopes stay in order.
+	recvUnposted int
+	xfer         rvzXfer // the in-flight split copy, reused per transfer
+}
+
+// Split-copy rendezvous.  A payload of at least rvzSplitMin bytes is copied
+// in rvzChunk pieces that the sender and the waiting receiver claim from a
+// shared counter, so each byte is still copied exactly once (the paper's
+// single copy) but by two ranks instead of one.  Smaller payloads keep the
+// sender-only copy.
+const (
+	rvzChunk    = 16 << 10
+	rvzSplitMin = 2 * rvzChunk
+)
+
+// rvzXfer is a channel's split-copy state.  The sender owns it: it fills
+// src/dst, then publishes the transfer by storing state; both sides then
+// claim chunks with one CAS each.  state packs the envelope seq (high 32
+// bits) with the count of unclaimed chunks (low 32 bits), which is also the
+// next chunk index plus one: chunks are claimed from the top down.  Because
+// the seq rides in the same word, a receiver still looking at transfer k
+// can never claim a chunk of transfer k+1 (32 bits of seq suffice: the
+// sender can run at most RendezvousDepth transfers ahead of a receiver
+// stalled between its load and its CAS).  done counts copied chunks; the
+// sender pushes the Completion only when it covers every chunk, so neither
+// buffer is released while a claimed chunk is still being copied.
+type rvzXfer struct {
+	state    atomic.Uint64
+	done     atomic.Uint32
+	src, dst []byte // valid to a claimer between its claim and its done count
+}
+
+// rvzChunks is the number of chunks a payload of n bytes splits into.
+func rvzChunks(n int) uint32 { return uint32((n + rvzChunk - 1) / rvzChunk) }
+
+// rvzState packs a transfer's seq with its unclaimed-chunk count.
+func rvzState(seq uint64, left uint32) uint64 { return uint64(uint32(seq))<<32 | uint64(left) }
+
+// rvzClaimable reports whether state s has an unclaimed chunk of transfer
+// seq.
+func rvzClaimable(s, seq uint64) bool { return s>>32 == uint64(uint32(seq)) && uint32(s) > 0 }
+
+// start publishes a split copy of src into dst under seq.
+func (x *rvzXfer) start(seq uint64, dst, src []byte) {
+	x.src, x.dst = src, dst
+	x.done.Store(0)
+	x.state.Store(rvzState(seq, rvzChunks(len(src))))
+}
+
+// copyChunks claims and copies chunks of transfer seq into dst until none
+// are left, and returns how many it copied.  The sender passes the
+// envelope's buffer and the receiver its own posted buffer, which is the
+// same memory.
+func (x *rvzXfer) copyChunks(seq uint64, dst []byte) int {
+	copied := 0
+	for {
+		s := x.state.Load()
+		if !rvzClaimable(s, seq) {
+			return copied
+		}
+		schedpoint("core:rvz:claim")
+		if !x.state.CompareAndSwap(s, s-1) {
+			continue
+		}
+		lo := int(uint32(s)-1) * rvzChunk
+		hi := min(lo+rvzChunk, len(x.src))
+		schedpoint("core:rvz:copy")
+		copy(dst[lo:hi], x.src[lo:hi])
+		x.done.Add(1)
+		copied++
+	}
 }
 
 // reqList is a tiny FIFO of in-flight requests, owned by one rank.  The
@@ -192,7 +265,7 @@ type Request struct {
 	peer   int32  // global peer rank (for trace events and wait records)
 	tag    int    // message tag (wait-registry diagnostics)
 	comm   uint64 // communicator id (wait-registry diagnostics)
-	posted bool   // rendezvous recv: envelope pushed
+	posted bool   // rendezvous: envelope pushed (recv) or taken (send)
 	done   bool
 	n      int // bytes transferred (recv side)
 
@@ -425,18 +498,36 @@ func (r *Rank) progressSend(ch *channel) {
 		case reqSendRvz:
 			// Single-copy: claim the receiver's posted envelope, copy the
 			// payload straight into the destination buffer, then signal the
-			// byte count on the completion queue (paper §4.1.2).
+			// byte count on the completion queue (paper §4.1.2).  A split
+			// copy is shared with the receiver and may take several probes.
 			rz := ch.rvz(r.rt.cfg.RendezvousDepth)
-			env, ok := rz.Envelopes.TryPop()
-			if !ok {
-				return // receiver has not posted yet
+			n := len(req.buf)
+			if !req.posted {
+				env, ok := rz.Envelopes.TryPop()
+				if !ok {
+					return // receiver has not posted yet
+				}
+				if n > len(env.Dest) {
+					panic(fmt.Sprintf("core: %d-byte message overflows %d-byte posted receive buffer",
+						n, len(env.Dest)))
+				}
+				req.seq, req.posted = env.Seq, true
+				if n < rvzSplitMin {
+					copy(env.Dest, req.buf)
+				} else {
+					ch.xfer.start(env.Seq, env.Dest, req.buf)
+				}
 			}
-			if len(req.buf) > len(env.Dest) {
-				panic(fmt.Sprintf("core: %d-byte message overflows %d-byte posted receive buffer",
-					len(req.buf), len(env.Dest)))
+			if n >= rvzSplitMin {
+				x := &ch.xfer
+				x.copyChunks(req.seq, x.dst)
+				if x.done.Load() != rvzChunks(n) {
+					return // the receiver is still copying a chunk it claimed
+				}
+				x.src, x.dst = nil, nil // retain no user buffer past the transfer
+				schedpoint("core:rvz:retire")
 			}
-			n := copy(env.Dest, req.buf)
-			for !rz.Completions.TryPush(queue.Completion{Bytes: n, Seq: env.Seq}) {
+			for !rz.Completions.TryPush(queue.Completion{Bytes: n, Seq: req.seq}) {
 				r.checkPoison() // receiver may have unwound without draining
 				gosched()       // completion ring full: receiver must drain; bounded wait
 			}
@@ -451,6 +542,28 @@ func (r *Rank) progressSend(ch *channel) {
 		req.n = len(req.buf)
 		ch.sendPend.pop()
 	}
+}
+
+// postRecvRvz queues a rendezvous receive and pushes its envelope right
+// away unless an earlier receive is still waiting for ring space, so the
+// sender can start a transfer while earlier receives are pending.  Receiver
+// side.
+func (ch *channel) postRecvRvz(rz *queue.RendezvousChannel, req *Request) {
+	ch.recvPend.push(req)
+	if ch.recvUnposted > 0 || !ch.postEnvelope(rz, req) {
+		ch.recvUnposted++
+	}
+}
+
+// postEnvelope pushes req's envelope under the next ticket, reporting false
+// (nothing changed) when the envelope ring is full.
+func (ch *channel) postEnvelope(rz *queue.RendezvousChannel, req *Request) bool {
+	if !rz.Envelopes.TryPush(queue.Envelope{Dest: req.buf, Seq: ch.recvSeq + 1}) {
+		return false
+	}
+	ch.recvSeq++
+	req.seq, req.posted = ch.recvSeq, true
+	return true
 }
 
 // progressRecv advances the receiver-side pending list head of ch.
@@ -479,17 +592,19 @@ func (r *Rank) progressRecv(ch *channel) {
 		case reqRecvRvz:
 			rz := ch.rvz(r.rt.cfg.RendezvousDepth)
 			if !req.posted {
-				ch.recvSeq++
-				req.seq = ch.recvSeq
-				if !rz.Envelopes.TryPush(queue.Envelope{Dest: req.buf, Seq: req.seq}) {
-					ch.recvSeq-- // envelope ring full; repost later
-					return
+				if !ch.postEnvelope(rz, req) {
+					return // envelope ring full; repost later
 				}
-				req.posted = true
+				ch.recvUnposted--
 			}
 			c, ok := rz.Completions.Peek()
 			if !ok || c.Seq != req.seq {
-				return // our transfer has not completed yet (completions are FIFO)
+				// Our transfer has not completed yet (completions are FIFO):
+				// copy our share of it while the sender copies the rest.
+				if k := ch.xfer.copyChunks(req.seq, req.buf); k > 0 && r.met != nil {
+					r.met.rvzRecvChunks.Add(int64(k))
+				}
+				return
 			}
 			rz.Completions.TryPop()
 			req.n = c.Bytes
