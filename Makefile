@@ -31,9 +31,11 @@ fuzz:
 	go test -count=1 -fuzz FuzzShmemFrame -fuzztime 30s ./internal/shmem
 
 # The robustness suite under the race detector: watchdog/abort containment
-# plus the fault-injection (drop/dup/reorder) chaos tests across several
-# seeds (override with PURE_CHAOS_SEEDS=comma,separated,ints).  Sized to
-# stay CI-friendly on a single CPU.
+# plus the lossy-link chaos tests (seeded drops and delays on in-process
+# loopback transport links) across several seeds (override with
+# PURE_CHAOS_SEEDS=comma,separated,ints).  Sized to stay CI-friendly on a
+# single CPU.  scripts/verify.sh runs the same -run pattern over the same
+# packages.
 chaos:
 	go test -race -count=1 \
 		-run 'TestChaos|TestWatchdog|TestPanic|TestRankAbort|TestAllPanicked|TestDeadline|TestNilRank|TestAbortEmits|TestPoison|TestDeadlockDiagnosis|TestAbortFrom|TestFaultInjection|TestRMA' \
@@ -77,7 +79,7 @@ statsd:
 	go run ./cmd/purebench -quick -exp statsd
 
 # The PGAS layer (docs/SHMEM.md): symmetric-heap/mailbox unit tests and
-# the exactness-proof apps (the lossy netsim chaos runs under -race),
+# the exactness-proof apps (the lossy-link chaos runs under -race),
 # then the exactness-gated benchmark table.
 shmem:
 	go test -count=1 ./internal/shmem ./internal/apps/shmem ./pure

@@ -2,13 +2,15 @@ package shmemapp
 
 import (
 	"fmt"
+	"net"
 	"os"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
-	"repro/internal/netsim"
 	"repro/pure"
 )
 
@@ -40,6 +42,66 @@ func multiNodeCfg(nodes int) pure.Config {
 		RanksPerNode: 1,
 		Net:          pure.NetConfig{LatencyNs: 200, BytesPerNs: 10, TimeScale: 10},
 		HangTimeout:  30 * time.Second,
+	}
+}
+
+var loopbackJobSeq atomic.Uint64
+
+// runLossy runs main on multiNodeCfg(2) as two pure.Run calls in this
+// process, one per node, joined by localhost TCP through Config.Transport.
+// The link drops 15% of first transmissions and delays 10% of arrivals
+// (seeded), so every remote shmem op rides the link's ack/retransmit
+// protocol.  It fails the test on any node's error or when the plan
+// injected no drops or the link retransmitted nothing.
+func runLossy(t *testing.T, seed int64, main func(r *pure.Rank)) {
+	t.Helper()
+	addrs := make([]string, 2)
+	for i := range addrs {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatalf("reserving port: %v", err)
+		}
+		addrs[i] = ln.Addr().String()
+		ln.Close()
+	}
+	job := loopbackJobSeq.Add(1)
+	errs := make([]error, len(addrs))
+	mets := make([]*pure.Metrics, len(addrs))
+	var wg sync.WaitGroup
+	for n := range addrs {
+		cfg := multiNodeCfg(2)
+		mets[n] = pure.NewMetrics()
+		cfg.Metrics = mets[n]
+		cfg.Transport = &pure.TransportConfig{
+			Node: n, Addrs: addrs, Job: job,
+			HeartbeatEvery: 50 * time.Millisecond,
+			PeerDeadAfter:  5 * time.Second,
+			RetryBackoff:   2 * time.Millisecond,
+			RetryBudget:    1000,
+			Faults: pure.TransportFaults{
+				Seed: uint64(seed), DropProb: 0.15, DelayProb: 0.10, DelayMax: time.Millisecond,
+			},
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[n] = pure.Run(cfg, main)
+		}()
+	}
+	wg.Wait()
+	var drops, retrans int64
+	for n, err := range errs {
+		if err != nil {
+			t.Fatalf("node %d: %v", n, err)
+		}
+		drops += mets[n].Counter("pure_tp_drops_injected_total").Value()
+		retrans += mets[n].Counter("pure_tp_retransmits_total").Value()
+	}
+	if drops == 0 {
+		t.Fatalf("seed %d: no drops injected; the test exercised nothing", seed)
+	}
+	if retrans == 0 {
+		t.Fatalf("seed %d: %d drops injected but no retransmits", seed, drops)
 	}
 }
 
@@ -93,22 +155,25 @@ func TestHistogramCrossNode(t *testing.T) {
 	}
 }
 
-// TestChaosHistogramLossy is the ISSUE's acceptance gate: ≥2 processes
-// (modeled as 2 one-rank nodes) under a 15%-lossy wire, and the histogram
-// must still be bit-exact — the link layer recovers every dropped,
-// duplicated, or reordered atomic-add frame.
+// TestChaosHistogramLossy runs the histogram on two one-rank nodes over a
+// lossy transport link, and the histogram must still be bit-exact: the
+// link protocol recovers every dropped or delayed atomic-add frame.
 func TestChaosHistogramLossy(t *testing.T) {
 	for _, seed := range chaosSeeds(t) {
-		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			cfg := multiNodeCfg(2)
-			cfg.Net.Faults = netsim.Faults{
-				Seed: seed, DropProb: 0.15, DupProb: 0.10, ReorderProb: 0.10,
-				RetryBackoffNs: 20_000,
-			}
-			res := runHist(t, cfg, HistConfig{Bins: 32, Items: 60, Rounds: 2, Seed: uint64(seed)})
+			var res HistResult
+			runLossy(t, seed, func(r *pure.Rank) {
+				got, herr := RunHistogram(r, HistConfig{Bins: 32, Items: 60, Rounds: 2, Seed: uint64(seed)})
+				if herr != nil {
+					r.Abort(herr)
+					return
+				}
+				if r.ID() == 0 {
+					res = got
+				}
+			})
 			if !res.Exact {
-				t.Fatal("lossy-wire histogram diverged from the serial reference")
+				t.Fatal("lossy-link histogram diverged from the serial reference")
 			}
 		})
 	}
@@ -168,21 +233,25 @@ func TestBFSCrossNode(t *testing.T) {
 	}
 }
 
-// TestChaosBFSLossy runs the mailbox frontier exchange over a 15%-lossy
-// wire: per-sender FIFO and exactly-once delivery must survive
+// TestChaosBFSLossy runs the mailbox frontier exchange over a lossy
+// transport link: per-sender FIFO and exactly-once delivery must survive
 // retransmission, or distances diverge.
 func TestChaosBFSLossy(t *testing.T) {
 	for _, seed := range chaosSeeds(t) {
-		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			cfg := multiNodeCfg(2)
-			cfg.Net.Faults = netsim.Faults{
-				Seed: seed, DropProb: 0.15, DupProb: 0.10, ReorderProb: 0.10,
-				RetryBackoffNs: 20_000,
-			}
-			res := runBFS(t, cfg, BFSConfig{Vertices: 48, Degree: 2, MailboxCap: 4, Seed: uint64(seed) + 1})
+			var res BFSResult
+			runLossy(t, seed, func(r *pure.Rank) {
+				got, berr := RunBFS(r, BFSConfig{Vertices: 48, Degree: 2, MailboxCap: 4, Seed: uint64(seed) + 1})
+				if berr != nil {
+					r.Abort(berr)
+					return
+				}
+				if r.ID() == 0 {
+					res = got
+				}
+			})
 			if !res.Exact {
-				t.Fatal("lossy-wire BFS diverged from the serial reference")
+				t.Fatal("lossy-link BFS diverged from the serial reference")
 			}
 		})
 	}

@@ -1,7 +1,10 @@
 package statsd
 
 import (
+	"net"
+	"sync"
 	"testing"
+	"time"
 
 	proto "repro/internal/statsd"
 	"repro/pure"
@@ -28,6 +31,69 @@ func runPipeline(t *testing.T, pcfg pure.Config, cfg Config) Result {
 		t.Fatal(err)
 	}
 	return res
+}
+
+// runPipelineLossy executes the pipeline on two nodes of two ranks each
+// (ingesters on node 0, aggregators on node 1 under SMP placement) as two
+// pure.Run calls in this process, joined by localhost TCP through
+// Config.Transport with the given fault plan.  It returns rank 0's Result
+// and the link's injected drops and retransmits summed over both nodes.
+// Each node gets its own interner, as separate processes would.
+func runPipelineLossy(t *testing.T, faults pure.TransportFaults, cfg Config) (res Result, drops, retrans int64) {
+	t.Helper()
+	addrs := make([]string, 2)
+	for i := range addrs {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatalf("reserving port: %v", err)
+		}
+		addrs[i] = ln.Addr().String()
+		ln.Close()
+	}
+	errs := make([]error, len(addrs))
+	mets := make([]*pure.Metrics, len(addrs))
+	var wg sync.WaitGroup
+	for n := range addrs {
+		mets[n] = pure.NewMetrics()
+		pcfg := pure.Config{
+			NRanks:  4,
+			Spec:    pure.Spec{Nodes: 2, SocketsPerNode: 1, CoresPerSocket: 2, ThreadsPerCore: 1},
+			Metrics: mets[n],
+			Transport: &pure.TransportConfig{
+				Node: n, Addrs: addrs, Job: 1,
+				HeartbeatEvery: 50 * time.Millisecond,
+				PeerDeadAfter:  5 * time.Second,
+				RetryBackoff:   2 * time.Millisecond,
+				RetryBudget:    1000,
+				Faults:         faults,
+			},
+			HangTimeout: 20 * time.Second,
+		}
+		ncfg := cfg
+		ncfg.Interner = proto.NewInterner(4096)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[n] = pure.Run(pcfg, func(r *pure.Rank) {
+				got, err := Run(r, ncfg)
+				if err != nil {
+					r.Abort(err)
+				}
+				if r.ID() == 0 {
+					res = got
+				}
+			})
+		}()
+	}
+	wg.Wait()
+	for n, err := range errs {
+		if err != nil {
+			t.Fatalf("node %d: %v", n, err)
+		}
+		drops += mets[n].Counter("pure_tp_drops_injected_total").Value()
+		retrans += mets[n].Counter("pure_tp_retransmits_total").Value()
+	}
+	return res, drops, retrans
 }
 
 func checkExact(t *testing.T, res Result, wantEvents int64) {
@@ -78,20 +144,21 @@ func TestPipelineExactDropPolicy(t *testing.T) {
 }
 
 func TestPipelineExactUnderLoss(t *testing.T) {
-	// Two modeled nodes (ingesters on node 0, aggregators on node 1 under
-	// SMP placement) with 15%% of inter-node transmits dropped on the wire.
-	// The link layer retransmits; the pipeline totals must stay exact.
+	// Two nodes joined by a transport link that drops 15% of first
+	// transmissions.  The link retransmits; the pipeline totals must stay
+	// exact.
 	const events = 8000
-	res := runPipeline(t,
-		pure.Config{
-			NRanks: 4,
-			Spec:   pure.Spec{Nodes: 2, SocketsPerNode: 1, CoresPerSocket: 2, ThreadsPerCore: 1},
-			Net:    pure.NetConfig{Faults: pure.Faults{Seed: 7, DropProb: 0.15}},
-		},
+	res, drops, retrans := runPipelineLossy(t,
+		pure.TransportFaults{Seed: 7, DropProb: 0.15},
 		Config{Ingesters: 2, Aggregators: 2, Events: events, Rounds: 2})
 	checkExact(t, res, events)
 	if res.Applied != events {
-		t.Errorf("lossy wire lost events: applied %d of %d", res.Applied, events)
+		t.Errorf("lossy link lost events: applied %d of %d", res.Applied, events)
+	}
+	if drops == 0 {
+		t.Error("no drops injected; the test exercised nothing")
+	} else if retrans == 0 {
+		t.Errorf("%d drops injected but no retransmits", drops)
 	}
 }
 

@@ -43,15 +43,11 @@ type metricSet struct {
 	tasks        *obs.Counter
 	chunksStolen *obs.Counter
 
-	// Fault tolerance: runtime aborts (all causes), watchdog hang dumps, and
-	// the reliable inter-node path's retransmits / exhausted retry budgets.
-	// The injected-fault counts (drops, dups, reorders) are harvested from
-	// the netsim layer at run end.
-	aborts            *obs.Counter
-	hangs             *obs.Counter
-	netRetransmits    *obs.Counter
-	netRetryExhausted *obs.Counter
-	netDupsDropped    *obs.Counter
+	// Fault tolerance: runtime aborts (all causes) and watchdog hang dumps.
+	// The transport link's retransmits and injected faults are harvested
+	// as pure_tp_* at run end.
+	aborts *obs.Counter
+	hangs  *obs.Counter
 	// Parks of a sender refused by a full transport resend window that the
 	// safety-net timeout, not the reopening ack's ring, ended: nonzero only
 	// when acks are slower than the timeout or a ring went missing.
@@ -99,11 +95,8 @@ func newMetricSet(reg *obs.Metrics) *metricSet {
 		tasks:          reg.Counter("pure_tasks_executed_total"),
 		chunksStolen:   reg.Counter("pure_chunks_stolen_total"),
 
-		aborts:            reg.Counter("pure_aborts_total"),
-		hangs:             reg.Counter("pure_watchdog_hangs_total"),
-		netRetransmits:    reg.Counter("pure_net_retransmits_total"),
-		netRetryExhausted: reg.Counter("pure_net_retry_exhausted_total"),
-		netDupsDropped:    reg.Counter("pure_net_dups_discarded_total"),
+		aborts: reg.Counter("pure_aborts_total"),
+		hangs:  reg.Counter("pure_watchdog_hangs_total"),
 
 		tpBusyParkTimeouts: reg.Counter("pure_tp_send_busy_park_timeouts_total"),
 
@@ -157,50 +150,48 @@ func (rt *Runtime) harvestObs(ranks []*Rank) {
 		m.stealAttempts.Add(r.thief.Attempts)
 		m.steals.Add(r.thief.Stolen)
 	}
-	if fs := rt.net.FaultStats(); fs.Transmits > 0 {
-		m.reg.Counter("pure_net_transmits_total").Add(fs.Transmits)
-		m.reg.Counter("pure_net_drops_injected_total").Add(fs.Drops)
-		m.reg.Counter("pure_net_dups_injected_total").Add(fs.Dups)
-		m.reg.Counter("pure_net_reorders_injected_total").Add(fs.Reorders)
-		var dupes int64
-		rt.remotes.Range(func(_, v any) bool {
-			dupes += v.(*remoteChannel).dupes
-			return true
-		})
-		m.netDupsDropped.Add(dupes)
+}
+
+// harvestTransport folds the transport's lifetime link totals into the
+// metrics registry as pure_tp_*.  It runs after the transport's graceful
+// close, so frames an application posted last — complete at post, but
+// still in the resend buffer or behind the first dial when the ranks
+// returned — are counted along with their drops and retransmits.
+func (rt *Runtime) harvestTransport() {
+	m := rt.met
+	if m == nil {
+		return
 	}
-	if rt.tp != nil {
-		var agg transport.LinkStats
-		var dead int64
-		for _, ls := range rt.tp.Stats() {
-			agg.FramesSent += ls.FramesSent
-			agg.FramesRecv += ls.FramesRecv
-			agg.BytesSent += ls.BytesSent
-			agg.BytesRecv += ls.BytesRecv
-			agg.Retransmits += ls.Retransmits
-			agg.DupsDropped += ls.DupsDropped
-			agg.OooDropped += ls.OooDropped
-			agg.Reconnects += ls.Reconnects
-			agg.DropsInjected += ls.DropsInjected
-			agg.DelaysInjected += ls.DelaysInjected
-			agg.SendBusy += ls.SendBusy
-			if ls.Dead {
-				dead++
-			}
+	var agg transport.LinkStats
+	var dead int64
+	for _, ls := range rt.tp.Stats() {
+		agg.FramesSent += ls.FramesSent
+		agg.FramesRecv += ls.FramesRecv
+		agg.BytesSent += ls.BytesSent
+		agg.BytesRecv += ls.BytesRecv
+		agg.Retransmits += ls.Retransmits
+		agg.DupsDropped += ls.DupsDropped
+		agg.OooDropped += ls.OooDropped
+		agg.Reconnects += ls.Reconnects
+		agg.DropsInjected += ls.DropsInjected
+		agg.DelaysInjected += ls.DelaysInjected
+		agg.SendBusy += ls.SendBusy
+		if ls.Dead {
+			dead++
 		}
-		m.reg.Counter("pure_tp_frames_sent_total").Add(agg.FramesSent)
-		m.reg.Counter("pure_tp_frames_recv_total").Add(agg.FramesRecv)
-		m.reg.Counter("pure_tp_bytes_sent_total").Add(agg.BytesSent)
-		m.reg.Counter("pure_tp_bytes_recv_total").Add(agg.BytesRecv)
-		m.reg.Counter("pure_tp_retransmits_total").Add(agg.Retransmits)
-		m.reg.Counter("pure_tp_dups_dropped_total").Add(agg.DupsDropped)
-		m.reg.Counter("pure_tp_ooo_dropped_total").Add(agg.OooDropped)
-		m.reg.Counter("pure_tp_reconnects_total").Add(agg.Reconnects)
-		m.reg.Counter("pure_tp_drops_injected_total").Add(agg.DropsInjected)
-		m.reg.Counter("pure_tp_delays_injected_total").Add(agg.DelaysInjected)
-		m.reg.Counter("pure_tp_send_busy_total").Add(agg.SendBusy)
-		m.reg.Counter("pure_tp_dead_peers_total").Add(dead)
 	}
+	m.reg.Counter("pure_tp_frames_sent_total").Add(agg.FramesSent)
+	m.reg.Counter("pure_tp_frames_recv_total").Add(agg.FramesRecv)
+	m.reg.Counter("pure_tp_bytes_sent_total").Add(agg.BytesSent)
+	m.reg.Counter("pure_tp_bytes_recv_total").Add(agg.BytesRecv)
+	m.reg.Counter("pure_tp_retransmits_total").Add(agg.Retransmits)
+	m.reg.Counter("pure_tp_dups_dropped_total").Add(agg.DupsDropped)
+	m.reg.Counter("pure_tp_ooo_dropped_total").Add(agg.OooDropped)
+	m.reg.Counter("pure_tp_reconnects_total").Add(agg.Reconnects)
+	m.reg.Counter("pure_tp_drops_injected_total").Add(agg.DropsInjected)
+	m.reg.Counter("pure_tp_delays_injected_total").Add(agg.DelaysInjected)
+	m.reg.Counter("pure_tp_send_busy_total").Add(agg.SendBusy)
+	m.reg.Counter("pure_tp_dead_peers_total").Add(dead)
 	if rt.linkMet != nil {
 		// Final sync of the per-peer labeled mirror, so offline metric dumps
 		// (no scrape ever happened) still carry the link telemetry.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/queue"
@@ -131,42 +130,21 @@ func (l *reqList) pop() {
 	}
 }
 
-// netMsg is one mailbox entry.  seq is only meaningful on the reliable
-// (fault-injected) path, where the link layer sequences, deduplicates and
-// acknowledges messages; the fault-free fast path leaves it zero.
-type netMsg struct {
-	seq     uint64
-	payload []byte
-}
-
 // remoteChannel is an inter-node channel.  In the paper this is MPI_Send /
 // MPI_Recv with sender/receiver thread ids encoded in the tag's upper bits;
-// here it is an ordered mailbox whose enqueue pays the modeled network cost
-// and contends on the destination node's "NIC" lock (the
-// MPI_THREAD_MULTIPLE serialization Pure accepts on this path).
-//
-// When fault injection is active the channel additionally runs a link-layer
-// ack/retransmit protocol: the (single) sending rank stamps each message with
-// a sequence number, the receiving NIC accepts messages in order — stashing
-// out-of-order arrivals, discarding duplicates — and publishes the highest
-// contiguous sequence in arrived, which doubles as the (shared-memory) ack
-// the sender polls.  Injected drops are recovered by retransmission with
-// exponential backoff under a retry budget.
+// here it is an ordered mailbox of payloads.  On the modeled wire the
+// enqueue pays the modeled network cost and contends on the destination
+// node's "NIC" lock (the MPI_THREAD_MULTIPLE serialization Pure accepts on
+// this path); on the real transport the link reader appends what the link
+// delivered, already in order and deduplicated.
 type remoteChannel struct {
 	n    atomic.Int64 // buffered message count (lock-free emptiness probe)
 	mu   chanMutex
-	msgs []netMsg // queued from head on; the backing array is kept when it drains
+	msgs [][]byte // payloads queued from head on; the backing array is kept when it drains
 	head int
 	// spare holds payload buffers receives have copied out of, for the
 	// next delivery to reuse (guarded by mu).
 	spare [][]byte
-
-	// Reliable-path state (untouched on the fault-free path).
-	sendSeq uint64            // last sequence assigned; owned by the sending rank
-	arrived atomic.Uint64     // highest contiguous seq accepted into msgs (the ack)
-	pending map[uint64][]byte // out-of-order arrivals keyed by seq (guarded by mu)
-	hold    *netMsg           // reorder-injection hold slot (guarded by mu)
-	dupes   int64             // duplicates discarded at the NIC (guarded by mu)
 }
 
 // chanMutex is a tiny spinlock; contention on it plays the role of the MPI
@@ -261,18 +239,13 @@ type Request struct {
 	ch     *channel
 	rem    *remoteChannel
 	buf    []byte
-	seq    uint64 // rendezvous ticket (recv side) or remote link sequence
+	seq    uint64 // rendezvous ticket
 	peer   int32  // global peer rank (for trace events and wait records)
 	tag    int    // message tag (wait-registry diagnostics)
 	comm   uint64 // communicator id (wait-registry diagnostics)
 	posted bool   // rendezvous: envelope pushed (recv) or taken (send)
 	done   bool
 	n      int // bytes transferred (recv side)
-
-	// Reliable remote-send state (fault-injected runs only).
-	dstNode  int       // destination node (for the NIC lock on retransmit)
-	attempts int       // transmit attempts so far
-	retryAt  time.Time // when the next retransmit is due
 
 	// One-sided (RMA) completion state: a remote Put/Accumulate/Notify is
 	// done once flow.applied covers flowSeq (the target applied the frame).
@@ -325,9 +298,11 @@ func DecodeInterNodeTag(enc, bits int) (tag, srcLocal, dstLocal int) {
 }
 
 // isendRemote starts a send of buf to the endpoint's peer on another node,
-// on a request from the endpoint's pool.  Sends over the real transport and
-// the fault-free modeled wire complete at post (MPI buffered semantics);
-// the fault-injected modeled wire completes on the receiving NIC's ack.
+// on a request from the endpoint's pool.  Both inter-node paths complete at
+// post (MPI buffered semantics): the transport link copies the payload into
+// its encoded resend buffer, and loss, reordering and reconnects are the
+// link protocol's problem; the modeled wire copies it into the peer's
+// mailbox and never loses anything.
 func (ep *Channel) isendRemote(buf []byte) *Request {
 	r := ep.r
 	r.stats.BytesSent += int64(len(buf))
@@ -343,28 +318,12 @@ func (ep *Channel) isendRemote(buf []byte) *Request {
 	req.peer, req.tag, req.comm = ep.peer32, ep.tag, ep.comm
 	key := chanKey{src: r.id, dst: ep.peer, tag: ep.tag, comm: ep.comm}
 	if r.rt.tp != nil {
-		// Real transport: the link copies the payload into its encoded
-		// resend buffer at send time, so the post completes immediately;
-		// loss, reordering and reconnects are the link protocol's problem.
 		r.tpSendData(key, buf)
-		req.done = true
-		req.n = len(buf)
-		return req
-	}
-	if !r.rt.net.FaultsActive() {
-		// Fault-free fast path: the modeled wire never loses anything.
+	} else {
 		r.remoteSend(key, buf)
-		req.done = true
-		return req
 	}
-	// Reliable path: stamp a link sequence, transmit attempt 1, and let
-	// Wait/Test drive retransmits until the receiving NIC acks.
-	rc := r.getRemote(key)
-	rc.sendSeq++ // channels are SPSC: this rank is the only sender
-	req.rem = rc
-	req.seq = rc.sendSeq
-	req.dstNode = r.rt.place.NodeOf(ep.peer)
-	r.transmitRemote(req)
+	req.done = true
+	req.n = len(buf)
 	return req
 }
 
@@ -390,8 +349,6 @@ func waitKindFor(k reqKind) WaitKind {
 		return WaitP2PRecv
 	case reqRecvRvz:
 		return WaitRvzRecv
-	case reqRemoteSend:
-		return WaitRemoteAck
 	case reqRemoteRecv:
 		return WaitRemoteRecv
 	case reqRmaRemote, reqRmaGet:
@@ -420,16 +377,6 @@ func (r *Rank) waitReq(req *Request) int {
 	// waiting rank drives delivery itself and keeps spinning.
 	mode := r.frameMode()
 	switch req.kind {
-	case reqRemoteSend:
-		// Reliable path only (fault-free remote sends complete at post time):
-		// poll the receiver NIC's ack watermark, retransmitting on timeout.
-		r.leafWaitVia(mode, func() bool {
-			if req.done {
-				return true
-			}
-			r.progressRemoteSend(req)
-			return req.done
-		})
 	case reqRemoteRecv:
 		r.leafWaitVia(mode, func() bool {
 			if req.done {
@@ -439,10 +386,9 @@ func (r *Rank) waitReq(req *Request) int {
 			return req.done
 		})
 	case reqRmaRemote:
-		// Origin side of a remote one-sided op: drive our own frame
-		// retransmits and apply incoming frames (two origins putting at
-		// each other must each drain their inbox), then poll the target's
-		// applied watermark.
+		// Origin side of a remote one-sided op: apply incoming frames (two
+		// origins putting at each other must each drain their inbox), then
+		// poll the target's applied watermark.
 		r.leafWaitVia(mode, func() bool {
 			if req.flow.applied.Load() >= req.flowSeq {
 				req.done = true
@@ -624,8 +570,7 @@ func (r *Rank) progressRecv(ch *channel) {
 
 // remoteSend delivers a copy of buf to a rank on another node: pay the
 // modeled wire time, then append to the destination mailbox under the
-// destination node's NIC lock.  Fault-free fast path only; the reliable
-// path goes through transmitRemote.
+// destination node's NIC lock.
 func (r *Rank) remoteSend(key chanKey, buf []byte) {
 	r.remoteSendVia(key, buf, true)
 }
@@ -648,116 +593,9 @@ func (r *Rank) remoteSendVia(key chanKey, buf []byte, copyIn bool) {
 	if copyIn {
 		buf = append(rc.spareLocked(len(buf)), buf...)
 	}
-	rc.pushLocked(netMsg{payload: buf})
+	rc.pushLocked(buf)
 	rc.mu.unlock()
 	nic.Unlock()
-}
-
-// transmitRemote pushes one (re)transmission of a reliable remote send onto
-// the wire, letting the fault injector drop, duplicate, reorder or delay it.
-// The ack is the receiving channel's arrived watermark, advanced under the
-// NIC lock by whoever delivers the missing sequence — which, because acks are
-// modeled as free shared-memory reads, the sender observes without the
-// receiver ever posting a matching recv.
-func (r *Rank) transmitRemote(req *Request) {
-	req.attempts++
-	req.retryAt = time.Now().Add(r.rt.net.RetryBackoff(req.attempts))
-	net := r.rt.net
-	v := net.Inject()
-	if v.Drop {
-		return // the wire ate it; Wait will retransmit after the backoff
-	}
-	cp := make([]byte, len(req.buf))
-	copy(cp, req.buf)
-	net.TransferExtra(len(req.buf), v.ExtraNs)
-	rc := req.rem
-	nic := &r.rt.nodes[req.dstNode].nic
-	nic.Lock()
-	rc.mu.lock()
-	rc.deliver(netMsg{seq: req.seq, payload: cp}, v.Reorder)
-	if v.Dup {
-		rc.deliver(netMsg{seq: req.seq, payload: cp}, false)
-	}
-	rc.mu.unlock()
-	nic.Unlock()
-}
-
-// deliver runs the receiving NIC's link-layer accept logic for one arriving
-// frame.  Caller holds rc.mu (and the node NIC lock).  A Reorder verdict
-// parks the frame in the one-slot hold; the next arrival (or retransmit)
-// releases it afterwards, swapping their order on an in-order stream.
-func (rc *remoteChannel) deliver(m netMsg, reorder bool) {
-	if held := rc.hold; held != nil {
-		rc.hold = nil
-		rc.accept(m)
-		rc.accept(*held)
-		return
-	}
-	if reorder {
-		rc.hold = &m
-		return
-	}
-	rc.accept(m)
-}
-
-// accept sequences one frame into the mailbox: duplicates (at or below the
-// watermark, or already stashed) are discarded, out-of-order arrivals are
-// stashed, and the in-order frame is appended along with any stashed
-// successors it unblocks.  Advancing arrived is the ack.
-func (rc *remoteChannel) accept(m netMsg) {
-	want := rc.arrived.Load() + 1
-	switch {
-	case m.seq < want:
-		rc.dupes++
-	case m.seq > want:
-		if rc.pending == nil {
-			rc.pending = make(map[uint64][]byte)
-		}
-		if _, ok := rc.pending[m.seq]; ok {
-			rc.dupes++
-			return
-		}
-		rc.pending[m.seq] = m.payload
-	default:
-		rc.pushLocked(m)
-		for {
-			want++
-			p, ok := rc.pending[want]
-			if !ok {
-				break
-			}
-			delete(rc.pending, want)
-			rc.pushLocked(netMsg{seq: want, payload: p})
-		}
-		rc.arrived.Store(want - 1)
-	}
-}
-
-// progressRemoteSend advances a reliable remote send: done once the receiver
-// NIC's watermark covers our sequence; otherwise retransmit when the backoff
-// expires, poisoning the runtime when the retry budget runs out.
-func (r *Rank) progressRemoteSend(req *Request) {
-	if req.rem.arrived.Load() >= req.seq {
-		req.done = true
-		req.n = len(req.buf)
-		return
-	}
-	if time.Now().Before(req.retryAt) {
-		return
-	}
-	if req.attempts >= r.rt.net.RetryBudget() {
-		if r.met != nil {
-			r.met.netRetryExhausted.Inc()
-		}
-		r.rt.poison(CauseNetDead, fmt.Sprintf(
-			"rank %d: remote send seq %d to rank %d (tag %d) unacked after %d attempts: retry budget exhausted",
-			r.id, req.seq, req.peer, req.tag, req.attempts), "", nil)
-		r.checkPoison() // unwinds
-	}
-	if r.met != nil {
-		r.met.netRetransmits.Inc()
-	}
-	r.transmitRemote(req)
 }
 
 // Payload recycling bounds: a mailbox keeps at most spareBufs copied-out
@@ -769,8 +607,8 @@ const (
 )
 
 // pushLocked appends one message.  Caller holds mu.
-func (rc *remoteChannel) pushLocked(m netMsg) {
-	rc.msgs = append(rc.msgs, m)
+func (rc *remoteChannel) pushLocked(payload []byte) {
+	rc.msgs = append(rc.msgs, payload)
 	rc.n.Add(1)
 }
 
@@ -779,8 +617,8 @@ func (rc *remoteChannel) pushLocked(m netMsg) {
 // steady stream neither allocates nor grows.  Caller holds mu and has
 // checked the queue is non-empty.
 func (rc *remoteChannel) popLocked() []byte {
-	msg := rc.msgs[rc.head].payload
-	rc.msgs[rc.head] = netMsg{}
+	msg := rc.msgs[rc.head]
+	rc.msgs[rc.head] = nil
 	rc.head++
 	if rc.head == len(rc.msgs) {
 		rc.msgs, rc.head = rc.msgs[:0], 0
@@ -828,7 +666,7 @@ func (rc *remoteChannel) popInto(dst []byte) (size int, ok bool) {
 		rc.mu.unlock()
 		return 0, false
 	}
-	msg := rc.msgs[rc.head].payload
+	msg := rc.msgs[rc.head]
 	if len(msg) > len(dst) {
 		rc.mu.unlock()
 		return len(msg), true

@@ -67,7 +67,7 @@ func (rt *Runtime) tpDeliver(f *transport.Frame) {
 	key := chanKey{src: int(f.SrcRank), dst: int(f.DstRank), tag: int(f.Tag), comm: f.Comm}
 	rc := rt.tpRemote(int(f.SrcNode), key)
 	rc.mu.lock()
-	rc.pushLocked(netMsg{payload: append(rc.spareLocked(len(f.Payload)), f.Payload...)})
+	rc.pushLocked(append(rc.spareLocked(len(f.Payload)), f.Payload...))
 	rc.mu.unlock()
 	rt.ring(f.DstRank)
 }
@@ -150,7 +150,7 @@ func (rt *Runtime) tpPeerBye(node int, abort bool, reason string, dead []int) {
 // blocking (with poison checks) while the link's resend window is full.  On
 // return the link has copied the payload into its encoded resend buffer, so
 // the caller's buffer is immediately reusable — the same buffered-send
-// post-time completion as the fault-free modeled network.  A dead peer
+// post-time completion as the modeled network.  A dead peer
 // poisons the runtime and unwinds the calling rank.
 func (r *Rank) tpSendData(key chanKey, payload []byte) {
 	f := transport.Frame{

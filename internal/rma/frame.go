@@ -8,9 +8,9 @@ import (
 )
 
 // Remote RMA frame format.  Inter-node window operations travel as frames
-// over the same mailbox transport (and, under fault injection, the same
-// link-layer ack/retransmit protocol) as ordinary messages, on a reserved
-// tag outside the application tag space.  One frame is one operation; the
+// over the same inter-node path as ordinary messages (the modeled wire's
+// mailboxes, or the transport link), on a reserved tag outside the
+// application tag space.  One frame is one operation; the
 // per-flow frame order is the application order, and the link layer
 // guarantees in-order single delivery, so the target applies frames as it
 // drains them.

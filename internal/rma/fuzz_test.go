@@ -8,8 +8,8 @@ import (
 )
 
 // FuzzFrameDecode throws arbitrary bytes at the remote-frame decoder.
-// Frames arrive off the modeled network (and, under fault injection, after
-// link-layer corruption), so DecodeFrame must never panic: it either
+// Frames arrive off the modeled network or a transport link from another
+// process, so DecodeFrame must never panic: it either
 // rejects the input with an error or returns a frame that re-encodes to
 // the same header and payload it was decoded from.
 func FuzzFrameDecode(f *testing.F) {

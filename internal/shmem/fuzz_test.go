@@ -6,9 +6,8 @@ import (
 )
 
 // FuzzShmemFrame throws arbitrary bytes at the shmem op decoder.  Ops
-// arrive nested inside rma frames off the modeled network (and, under
-// fault injection, after link-layer corruption), so DecodeOp must never
-// panic: it either rejects the input with an error or returns an op that
+// arrive nested inside rma frames off the modeled network or a transport
+// link from another process, so DecodeOp must never panic: it either rejects the input with an error or returns an op that
 // re-encodes to exactly the bytes it was decoded from.
 func FuzzShmemFrame(f *testing.F) {
 	// Seed with one valid op of every kind, plus the wire-format extremes.

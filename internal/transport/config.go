@@ -31,12 +31,13 @@ const (
 	DefaultDrainTimeout = 2 * time.Second
 )
 
-// Faults is the transport-level fault plan, the real-socket analogue of the
-// simulator's netsim.Faults: seeded, deterministic per link, and applied
-// only to the first transmission of a sequenced frame — retransmissions are
-// exempt, so every injected drop is recoverable and exercises exactly the
-// recovery path.  Delays are applied on the receive side (the reader sleeps
-// before processing), modeling added one-way latency.
+// Faults is the runtime's only fault plan (chaos testing): seeded,
+// deterministic per link, and applied only to the first transmission of a
+// sequenced frame — retransmissions are exempt, so every injected drop is
+// recoverable and exercises exactly the recovery path.  A frame posted
+// while its link has no connection is queued, not transmitted, so the drop
+// dice never see it.  Delays are applied on the receive side (the reader
+// sleeps before processing), modeling added one-way latency.
 type Faults struct {
 	Seed      uint64        // RNG seed; links derive independent streams from it
 	DropProb  float64       // probability a sequenced frame's first transmission is dropped

@@ -107,12 +107,6 @@ func CoriNode(nodes int) Spec { return topology.CoriSpec(nodes) }
 // NetConfig is the inter-node network cost model; see netsim.Config.
 type NetConfig = netsim.Config
 
-// Faults is the inter-node fault-injection configuration (set it on
-// NetConfig.Faults); see netsim.Faults.  Injected drops, duplicates and
-// reorders are recovered transparently by the runtime's link-layer
-// ack/retransmit protocol, at the cost of retransmission latency.
-type Faults = netsim.Faults
-
 // AriesNet returns the Cray-Aries-like model used for multi-node runs.
 func AriesNet() NetConfig { return netsim.Aries() }
 
@@ -122,9 +116,10 @@ func AriesNet() NetConfig { return netsim.Aries() }
 // purerun launcher.
 type TransportConfig = transport.Config
 
-// TransportFaults is the real transport's fault-injection plan (set it on
+// TransportFaults is the runtime's fault-injection plan (set it on
 // TransportConfig.Faults): seeded drops of first transmissions and
-// receive-side delays, all recovered by the link protocol.
+// receive-side delays, all recovered by the link protocol.  The in-process
+// modeled network (Config.Net) never loses a message.
 type TransportFaults = transport.Faults
 
 // TransportFromEnv builds a TransportConfig from the PURE_NODE/PURE_ADDRS/
@@ -156,8 +151,8 @@ type Config struct {
 	// places on Transport.Node, and cross-node traffic travels real
 	// sockets.  Launch one process per node with matching configs —
 	// normally via cmd/purerun, which provides the config through the
-	// environment (TransportFromEnv).  Mutually exclusive with Net.Faults;
-	// Spec.Nodes must equal len(Transport.Addrs).
+	// environment (TransportFromEnv).  Spec.Nodes must equal
+	// len(Transport.Addrs).
 	Transport *TransportConfig
 	// SmallMsgMax is the eager/rendezvous threshold in bytes (default 8 KiB).
 	SmallMsgMax int
@@ -271,7 +266,6 @@ const (
 	CauseDeadlock = core.CauseDeadlock
 	CauseStall    = core.CauseStall
 	CauseDeadline = core.CauseDeadline
-	CauseNetDead  = core.CauseNetDead
 	CauseNodeDead = core.CauseNodeDead
 )
 

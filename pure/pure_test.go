@@ -404,19 +404,16 @@ func TestAbortFromPublicAPI(t *testing.T) {
 }
 
 func TestFaultInjectionFromPublicAPI(t *testing.T) {
-	// Cross-node traffic over a 10%-lossy wire must still deliver exact
-	// results via the runtime's ack/retransmit layer.
-	cfg := Config{
-		NRanks:       2,
-		Spec:         Spec{Nodes: 2, SocketsPerNode: 1, CoresPerSocket: 2, ThreadsPerCore: 1},
-		RanksPerNode: 1,
-		Net:          NetConfig{LatencyNs: 200, BytesPerNs: 10, TimeScale: 10},
-		HangTimeout:  10 * time.Second,
-		Metrics:      NewMetrics(),
-	}
-	cfg.Net.Faults = Faults{Seed: 11, DropProb: 0.10, RetryBackoffNs: 20_000}
-	err := Run(cfg, func(r *Rank) {
+	// Cross-node traffic over a transport link that drops 10% of first
+	// transmissions must still deliver exact results via the link's
+	// ack/retransmit protocol.
+	faults := TransportFaults{Seed: 11, DropProb: 0.10}
+	c := lossyLoopback(t, faults, func(r *Rank) {
 		w := r.World()
+		// The plan rolls its dice on a frame's first write to a live
+		// connection; the barrier brings the link up so the stream below
+		// is written, not queued behind the first dial.
+		w.Barrier()
 		buf := make([]byte, 16)
 		for i := 0; i < 25; i++ {
 			if r.ID() == 0 {
@@ -429,17 +426,8 @@ func TestFaultInjectionFromPublicAPI(t *testing.T) {
 				}
 			}
 		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var retransmits int64
-	for _, c := range cfg.Metrics.Snapshot().Counters {
-		if c.Name == "pure_net_retransmits_total" {
-			retransmits = c.Value
-		}
-	}
-	if retransmits == 0 {
+	}, "pure_tp_retransmits_total")
+	if c["pure_tp_retransmits_total"] == 0 {
 		t.Fatal("10% drops but zero retransmits recorded")
 	}
 }

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"net"
 	"os"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -43,6 +46,62 @@ func twoNodeCfg() Config {
 		Net:          NetConfig{LatencyNs: 200, BytesPerNs: 10, TimeScale: 10},
 		HangTimeout:  20 * time.Second,
 	}
+}
+
+var loopbackJobSeq atomic.Uint64
+
+// lossyLoopback runs main on the twoNodeCfg machine as two Run calls in
+// this process, one per node, joined by localhost TCP through
+// Config.Transport with the given fault plan.  Every cross-node operation
+// therefore rides the transport link, whose protocol must recover each
+// injected drop and delay.  It fails the test on any node's error and
+// returns the sum of the named counters over both nodes' metrics.
+func lossyLoopback(t *testing.T, faults TransportFaults, main func(r *Rank), counters ...string) map[string]int64 {
+	t.Helper()
+	addrs := make([]string, 2)
+	for i := range addrs {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatalf("reserving port: %v", err)
+		}
+		addrs[i] = ln.Addr().String()
+		ln.Close()
+	}
+	job := loopbackJobSeq.Add(1)
+	errs := make([]error, len(addrs))
+	mets := make([]*Metrics, len(addrs))
+	var wg sync.WaitGroup
+	for n := range addrs {
+		cfg := twoNodeCfg()
+		mets[n] = NewMetrics()
+		cfg.Metrics = mets[n]
+		cfg.Transport = &TransportConfig{
+			Node: n, Addrs: addrs, Job: job,
+			HeartbeatEvery: 50 * time.Millisecond,
+			PeerDeadAfter:  5 * time.Second,
+			RetryBackoff:   2 * time.Millisecond,
+			RetryBudget:    1000,
+			Faults:         faults,
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[n] = Run(cfg, main)
+		}()
+	}
+	wg.Wait()
+	for n, err := range errs {
+		if err != nil {
+			t.Fatalf("node %d: %v", n, err)
+		}
+	}
+	sums := map[string]int64{}
+	for _, m := range mets {
+		for _, name := range counters {
+			sums[name] += m.Counter(name).Value()
+		}
+	}
+	return sums
 }
 
 // TestRMAPutGetFence drives the basic fence-epoch cycle intra-node: each
@@ -355,22 +414,17 @@ func TestRMARemoteProgressWhileBlocked(t *testing.T) {
 	}
 }
 
-// TestChaosRMARemotePutLossy drives remote Put/Accumulate traffic over a
-// lossy, duplicating, reordering wire across several seeds: the reliable
-// link layer must deliver every frame exactly once (exact final sums), and
-// recovery must be visible in the retransmit counters.
+// TestChaosRMARemotePutLossy drives remote Put/Accumulate traffic and PSCW
+// epochs over a transport link that drops and delays frames, across
+// several seeds: the link protocol must deliver every frame exactly once
+// (exact final sums), and recovery must be visible in the retransmit
+// counters.
 func TestChaosRMARemotePutLossy(t *testing.T) {
 	const rounds = 30
 	for _, seed := range chaosSeeds(t) {
-		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			cfg := twoNodeCfg()
-			cfg.Metrics = NewMetrics()
-			cfg.Net.Faults = Faults{
-				Seed: seed, DropProb: 0.20, DupProb: 0.10, ReorderProb: 0.10,
-				RetryBackoffNs: 20_000,
-			}
-			err := Run(cfg, func(r *Rank) {
+			faults := TransportFaults{Seed: uint64(seed), DropProb: 0.20, DelayProb: 0.10, DelayMax: time.Millisecond}
+			c := lossyLoopback(t, faults, func(r *Rank) {
 				w := r.World().WinCreate(make([]byte, 16))
 				w.Fence()
 				if r.ID() == 0 {
@@ -391,7 +445,7 @@ func TestChaosRMARemotePutLossy(t *testing.T) {
 					}
 				}
 				w.Fence()
-				// PSCW epochs over the same lossy wire: each round's put
+				// PSCW epochs over the same lossy link: each round's put
 				// must be ordered inside its Post/Wait exposure.
 				for round := 0; round < 10; round++ {
 					if r.ID() == 1 {
@@ -408,16 +462,11 @@ func TestChaosRMARemotePutLossy(t *testing.T) {
 						w.Complete()
 					}
 				}
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			c := map[string]int64{}
-			for _, s := range cfg.Metrics.Snapshot().Counters {
-				c[s.Name] = s.Value
-			}
-			if c["pure_net_drops_injected_total"] > 0 && c["pure_net_retransmits_total"] == 0 {
-				t.Errorf("seed %d: %d drops injected but zero retransmits", seed, c["pure_net_drops_injected_total"])
+			}, "pure_tp_drops_injected_total", "pure_tp_retransmits_total", "pure_rma_remote_packets_total")
+			if c["pure_tp_drops_injected_total"] == 0 {
+				t.Errorf("seed %d: no drops injected; the test exercised nothing", seed)
+			} else if c["pure_tp_retransmits_total"] == 0 {
+				t.Errorf("seed %d: %d drops injected but zero retransmits", seed, c["pure_tp_drops_injected_total"])
 			}
 			if c["pure_rma_remote_packets_total"] == 0 {
 				t.Errorf("seed %d: no remote RMA packets recorded", seed)

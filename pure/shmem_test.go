@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
+	"time"
 )
 
 // TestShmemMallocSymmetric pins the symmetric-heap contract: every rank
@@ -219,21 +220,15 @@ func TestShmemRemoteOps(t *testing.T) {
 	}
 }
 
-// TestChaosShmemRemoteLossy drives remote atomic adds over a lossy,
-// duplicating, reordering wire: the reliable link layer must apply every
-// add exactly once (exact sum), across several seeds.
+// TestChaosShmemRemoteLossy drives remote atomic adds over a transport
+// link that drops and delays frames: the link protocol must apply every add
+// exactly once (exact sum) and in flow order, across several seeds.
 func TestChaosShmemRemoteLossy(t *testing.T) {
 	const rounds = 40
 	for _, seed := range chaosSeeds(t) {
-		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			cfg := twoNodeCfg()
-			cfg.Metrics = NewMetrics()
-			cfg.Net.Faults = Faults{
-				Seed: seed, DropProb: 0.20, DupProb: 0.10, ReorderProb: 0.10,
-				RetryBackoffNs: 20_000,
-			}
-			err := Run(cfg, func(r *Rank) {
+			faults := TransportFaults{Seed: uint64(seed), DropProb: 0.20, DelayProb: 0.10, DelayMax: time.Millisecond}
+			c := lossyLoopback(t, faults, func(r *Rank) {
 				s := r.World().ShmemCreate(4096, 0)
 				cell := s.Malloc(8)
 				last := s.Malloc(8)
@@ -253,16 +248,11 @@ func TestChaosShmemRemoteLossy(t *testing.T) {
 					}
 				}
 				s.Barrier()
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			c := map[string]int64{}
-			for _, s := range cfg.Metrics.Snapshot().Counters {
-				c[s.Name] = s.Value
-			}
-			if c["pure_net_drops_injected_total"] > 0 && c["pure_net_retransmits_total"] == 0 {
-				t.Errorf("seed %d: %d drops injected but zero retransmits", seed, c["pure_net_drops_injected_total"])
+			}, "pure_tp_drops_injected_total", "pure_tp_retransmits_total")
+			if c["pure_tp_drops_injected_total"] == 0 {
+				t.Errorf("seed %d: no drops injected; the test exercised nothing", seed)
+			} else if c["pure_tp_retransmits_total"] == 0 {
+				t.Errorf("seed %d: %d drops injected but zero retransmits", seed, c["pure_tp_drops_injected_total"])
 			}
 		})
 	}

@@ -40,10 +40,10 @@ go test -count=1 -fuzz FuzzControlDecode -fuzztime 5s ./internal/transport
 go test -count=1 -fuzz FuzzStatsdParse -fuzztime 5s ./internal/statsd
 go test -count=1 -fuzz FuzzShmemFrame -fuzztime 5s ./internal/shmem
 
-echo "== chaos suite (watchdog/abort/fault-injection under -race)"
+echo "== chaos suite (watchdog/abort/lossy-link fault injection under -race)"
 go test -race -count=1 \
     -run 'TestChaos|TestWatchdog|TestPanic|TestRankAbort|TestAllPanicked|TestDeadline|TestNilRank|TestAbortEmits|TestPoison|TestDeadlockDiagnosis|TestAbortFrom|TestFaultInjection|TestRMA' \
-    ./internal/core ./internal/ssw ./pure
+    ./internal/core ./internal/ssw ./pure ./internal/apps/shmem
 
 echo "== zero-allocation gate (eager persistent-channel endpoint hot paths)"
 # The Channel API's whole point is an allocation-free eager fast path; this
